@@ -399,9 +399,9 @@ def cmd_index(cfg: dict, args) -> int:
     r = cfg["retriever"]
     analyzer = AnalyzerConfig(lowercase=r["lowercase"], stopwords=frozenset(r["stopwords"]))
     index = build_index(store, analyzer, k1=r["k1"], b=r["b"])
-    out = cfg["paths"].get("index") or _output_dir(cfg) / "index.json"
+    out = cfg["paths"].get("index") or _output_dir(cfg) / "index.npz"
     save_index(index, out)
-    print(f"indexed {len(store)} passages ({len(index.postings)} terms) -> {out}")
+    print(f"indexed {len(store)} passages ({len(index.terms)} terms) -> {out}")
     return 0
 
 

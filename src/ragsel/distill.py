@@ -106,6 +106,8 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DistillError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DistillError(f"{path}:{lineno}: expected a JSON object")
             qid = record.get("id")
             question = fix_text(str(record.get("question", "")))
             candidates = record.get("candidates")
@@ -119,6 +121,8 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
                 raise DistillError(f"{path}:{lineno}: no candidates for {qid!r}")
             texts = []
             for c in candidates:
+                if not isinstance(c, dict):
+                    raise DistillError(f"{path}:{lineno}: candidate is not an object for {qid!r}")
                 text = fix_text(rewrite_bracket_ids(str(c.get("text", ""))))
                 if not text:
                     raise DistillError(f"{path}:{lineno}: empty candidate text for {qid!r}")

@@ -13,11 +13,13 @@ query.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import threading
-from collections import Counter
+import zipfile
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -102,29 +104,29 @@ class CandidateList:
         )
 
 
+@dataclass(eq=False)
 class Bm25Index:
-    def __init__(
-        self,
-        postings: dict[str, list[tuple[str, int]]],
-        lengths: dict[str, int],
-        avg_length: float,
-        k1: float,
-        b: float,
-        analyzer: AnalyzerConfig,
-    ):
-        self.postings = postings
-        self.lengths = lengths
-        self.n_docs = len(lengths)
-        self.avg_length = avg_length
-        self.k1 = k1
-        self.b = b
-        self.analyzer = analyzer
+    """BM25 postings in CSR layout with every term weight precomputed.
 
-    def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    Row r is passage ``ids[r]``; a term's postings are the ascending rows
+    ``rows[terms[term]]``, and it adds ``impacts[terms[term]]`` to their scores.
+    """
+
+    ids: list[str]
+    terms: dict[str, slice]
+    rows: np.ndarray
+    impacts: np.ndarray
+    k1: float
+    b: float
+    analyzer: AnalyzerConfig
+
+    def __post_init__(self):
+        # argsort inverts the id-sorting permutation: each row's rank by id, for ties
+        self.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+
+
+def _csr_slices(terms: Sequence[str], offsets: np.ndarray) -> dict[str, slice]:
+    return dict(zip(terms, map(slice, offsets[:-1].tolist(), offsets[1:].tolist())))
 
 
 def build_index(
@@ -139,37 +141,27 @@ def build_index(
         raise RetrievalError(f"k1 must be > 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise RetrievalError(f"b must be in [0, 1], got {b}")
-    postings: dict[str, list[tuple[str, int]]] = {}
-    lengths: dict[str, int] = {}
+    vocab: dict[str, int] = defaultdict(itertools.count().__next__)  # term -> id, first seen first
+    ids, lengths, distinct, term_ids, tfs = [], [], [], [], []
     for passage in store:
-        terms = analyze(passage.text, analyzer)
-        lengths[passage.id] = len(terms)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((passage.id, tf))
-    avg_length = sum(lengths.values()) / len(lengths)
-    return Bm25Index(postings, lengths, avg_length, k1, b, analyzer)
-
-
-def _term_weight(index: Bm25Index, idf: float, tf: int, length: int) -> float:
-    norm = 1.0 - index.b + index.b * length / index.avg_length
-    return idf * tf * (index.k1 + 1.0) / (tf + index.k1 * norm)
-
-
-def score(index: Bm25Index, query_terms: Sequence[str], passage_id: str) -> float:
-    """Score one passage against analyzed query terms (duplicates count once)."""
-    if passage_id not in index.lengths:
-        raise RetrievalError(f"unknown passage id: {passage_id!r}")
-    length = index.lengths[passage_id]
-    total = 0.0
-    for term in dict.fromkeys(query_terms):
-        tf = 0
-        for pid, freq in index.postings.get(term, ()):
-            if pid == passage_id:
-                tf = freq
-                break
-        if tf:
-            total += _term_weight(index, index.idf(term), tf, length)
-    return total
+        counts = Counter(analyze(passage.text, analyzer))
+        ids.append(passage.id)
+        lengths.append(counts.total())
+        distinct.append(len(counts))
+        term_ids.extend(map(vocab.__getitem__, counts))
+        tfs.extend(counts.values())
+    # group the postings by term; the stable sort keeps each term's rows ascending
+    order = np.argsort(term_ids, kind="stable")
+    rows = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)[order]
+    tf = np.array(tfs, dtype=np.float64)[order]
+    df = np.bincount(term_ids, minlength=len(vocab))
+    # math.log, not np.log, so each idf rounds as the scalar formula does
+    idf = np.array([math.log(1.0 + (len(ids) - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    # the scalar formula's operation order, elementwise, so impacts match it bit for bit
+    norm = 1.0 - b + b * np.array(lengths, dtype=np.float64)[rows] / (sum(lengths) / len(lengths))
+    impacts = np.repeat(idf, df) * tf * (k1 + 1.0) / (tf + k1 * norm)
+    offsets = np.concatenate(([0], np.cumsum(df)))
+    return Bm25Index(ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer)
 
 
 def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> CandidateList:
@@ -179,51 +171,54 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
     """
     if k <= 0:
         raise RetrievalError(f"k must be positive, got {k}")
-    terms = analyze(query, index.analyzer)
-    scores: dict[str, float] = {}
-    for term in dict.fromkeys(terms):
-        idf = index.idf(term)
-        if idf == 0.0:
-            continue
-        for pid, tf in index.postings[term]:
-            scores[pid] = scores.get(pid, 0.0) + _term_weight(index, idf, tf, index.lengths[pid])
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    items = [Candidate(pid, s) for pid, s in ranked[:k]]
+    scores = np.zeros(len(index.ids))
+    touched = np.zeros(len(index.ids), dtype=bool)
+    # a term lists each row once, so each sum adds its impacts in query-term order
+    for term in dict.fromkeys(analyze(query, index.analyzer)):
+        span = index.terms.get(term)
+        if span is not None:
+            rows = index.rows[span]
+            scores[rows] += index.impacts[span]
+            touched[rows] = True
+    hits = np.flatnonzero(touched)
+    if len(hits) > k:  # keep every passage tied at the k-th score
+        hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
+    order = hits[np.lexsort((index.id_rank[hits], -scores[hits]))[:k]].tolist()
+    items = [Candidate(index.ids[row], s) for row, s in zip(order, scores[order].tolist())]
     return CandidateList(query_id=query_id, retriever="bm25", items=items)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    record = {
-        "format": "ragsel-bm25-index",
-        "version": 1,
-        "k1": index.k1,
-        "b": index.b,
-        "analyzer": index.analyzer.to_dict(),
-        "lengths": index.lengths,
-        "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, ensure_ascii=False)
+    """Write one uncompressed .npz: the CSR arrays plus a JSON header."""
+    header = dict(format="ragsel-bm25-index", version=2, k1=index.k1, b=index.b,
+                  analyzer=index.analyzer.to_dict(), ids=index.ids, terms=list(index.terms))
+    header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    offsets = np.array([0] + [span.stop for span in index.terms.values()])
+    # np.savez appends ".npz" to a path name; a file handle keeps the path as given
+    with open(path, "wb") as fh:
+        np.savez(fh, header=header_bytes, rows=index.rows, impacts=index.impacts, offsets=offsets)
 
 
 def load_index(path: str | Path) -> Bm25Index:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("format") != "ragsel-bm25-index":
-        raise RetrievalError(f"{path}: not a BM25 index file")
-    lengths = {pid: int(n) for pid, n in record["lengths"].items()}
-    postings = {
-        term: [(pid, int(tf)) for pid, tf in plist] for term, plist in record["postings"].items()
-    }
-    avg_length = sum(lengths.values()) / len(lengths)
-    return Bm25Index(
-        postings,
-        lengths,
-        avg_length,
-        float(record["k1"]),
-        float(record["b"]),
-        AnalyzerConfig.from_dict(record["analyzer"]),
-    )
+    """Read a save_index file; any other file raises RetrievalError."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(npz["header"].tobytes())
+            rows, impacts, offsets = npz["rows"], npz["impacts"], npz["offsets"]
+        ids, terms = header["ids"], header["terms"]
+        if not (
+            (header["format"], header["version"]) == ("ragsel-bm25-index", 2)
+            and rows.dtype.kind == "i" and impacts.dtype == np.float64
+            and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
+            and (np.diff(offsets) >= 0).all()
+            and rows.shape == impacts.shape == (offsets[-1],)
+            and (len(rows) == 0 or 0 <= rows.min() <= rows.max() < len(ids))
+        ):
+            raise ValueError("inconsistent index arrays")
+        params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
+        return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params)
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+        raise RetrievalError(f"{path}: not a BM25 index file") from exc
 
 
 class Bm25Retriever:

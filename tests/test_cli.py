@@ -340,7 +340,7 @@ def test_cli_index_and_retrieve(tmp_path, capsys):
     assert main(["index", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "indexed 4 passages" in out
-    assert (tmp_path / "out" / "index.json").exists()
+    assert (tmp_path / "out" / "index.npz").exists()
 
     assert main(["retrieve", "--config", str(config_path), "--query", "apple"]) == 0
     adhoc = json.loads(capsys.readouterr().out)

@@ -104,6 +104,25 @@ def test_load_label_queries_validation(tmp_path, record, fragment):
     assert ":1:" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ('["q1", "q", []]', "expected a JSON object"),
+        ('"q1"', "expected a JSON object"),
+        ('{"id": "q1", "question": "q", "candidates": ["text"]}', "candidate is not an object"),
+        ('{"id": "q1", "question": "q", "candidates": [{"text": "t"}, null]}', "candidate is not an object"),
+    ],
+    ids=["list-line", "string-line", "string-candidate", "null-candidate"],
+)
+def test_load_label_queries_rejects_non_objects(tmp_path, line, fragment):
+    path = tmp_path / "in.jsonl"
+    good = json.dumps({"id": "q0", "question": "q", "candidates": [{"id": "c", "text": "t"}]})
+    path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DistillError) as excinfo:
+        load_label_queries(path)
+    assert fragment in str(excinfo.value) and ":2:" in str(excinfo.value)
+
+
 def test_load_label_queries_duplicate_id(tmp_path):
     path = tmp_path / "in.jsonl"
     line = json.dumps({"id": "q1", "question": "q", "candidates": [{"id": "c", "text": "t"}]})

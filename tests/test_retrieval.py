@@ -1,6 +1,9 @@
+import json
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ragsel.corpus import Passage, PassageStore
@@ -17,7 +20,6 @@ from ragsel.retrieval import (
     load_index,
     precompute_embeddings,
     save_index,
-    score,
     search,
 )
 
@@ -67,15 +69,22 @@ def test_build_index_counts():
         ]
     )
     index = build_index(store)
-    assert index.n_docs == 3
-    assert len(index.postings["apple"]) == 2
-    assert dict(index.postings["apple"])["p1"] == 1
+    assert index.ids == ["p1", "p2", "p3"]
+    assert len(index.terms) == 5
+    assert index.rows[index.terms["apple"]].tolist() == [0, 1]
+    assert index.rows[index.terms["cake"]].tolist() == [2]
+    assert len(index.rows) == len(index.impacts) == 6
 
 
 def test_build_index_tf_lowercased():
+    # one passage "a a a": tf = length = avglen = 3, idf = ln(1 + 0.5/1.5)
     store = PassageStore([Passage(id="p", doc_id="d", text="A a a.")])
     index = build_index(store)
-    assert dict(index.postings["a"])["p"] == 3
+    expected = math.log(4.0 / 3.0) * 3 * 2.2 / (3 + 1.2)
+    for query in ("a", "A"):
+        [hit] = search(index, query, k=1).items
+        assert hit.passage_id == "p"
+        assert hit.score == pytest.approx(expected, abs=1e-9)
 
 
 def test_build_index_empty_store_errors():
@@ -91,24 +100,23 @@ def test_build_index_validates_parameters():
         build_index(store, b=1.5)
 
 
+def scores_of(index, query):
+    return {c.passage_id: c.score for c in search(index, query, k=len(index.ids)).items}
+
+
 def test_score_matches_hand_evaluated_values():
     index = build_index(three_doc_store())
-    assert score(index, ["a"], "d2") == pytest.approx(SCORE_D2_A, abs=1e-9)
-    assert score(index, ["a"], "d1") == pytest.approx(SCORE_D1_A, abs=1e-9)
-    assert score(index, ["c"], "d3") == pytest.approx(SCORE_D3_C, abs=1e-9)
+    assert scores_of(index, "a")["d2"] == pytest.approx(SCORE_D2_A, abs=1e-9)
+    assert scores_of(index, "a")["d1"] == pytest.approx(SCORE_D1_A, abs=1e-9)
+    assert scores_of(index, "c")["d3"] == pytest.approx(SCORE_D3_C, abs=1e-9)
 
 
 def test_score_zero_for_absent_term():
+    # zero-score passages are left out of the candidates
     index = build_index(three_doc_store())
-    assert score(index, ["c"], "d1") == 0.0
-    assert score(index, ["c"], "d2") == 0.0
-    assert score(index, ["zzz"], "d1") == 0.0
-
-
-def test_score_unknown_passage_errors():
-    index = build_index(three_doc_store())
-    with pytest.raises(RetrievalError, match="'nope'"):
-        score(index, ["a"], "nope")
+    assert set(scores_of(index, "c")) == {"d3"}
+    assert scores_of(index, "zzz") == {}
+    assert scores_of(index, "zzz a") == scores_of(index, "a")
 
 
 def test_search_ranking_and_scores():
@@ -160,8 +168,8 @@ def test_score_single_term_monotone_in_tf():
             text = " ".join(["hit"] * tf + [f"pad{pid}{j}" for j in range(length - tf)])
             return Passage(id=pid, doc_id="d", text=text)
         store = PassageStore([make(low, "plow"), make(high, "phigh")])
-        index = build_index(store)
-        assert score(index, ["hit"], "phigh") > score(index, ["hit"], "plow")
+        scores = scores_of(build_index(store), "hit")
+        assert scores["phigh"] > scores["plow"]
 
 
 def _random_store(rng, n_passages, vocab):
@@ -190,8 +198,9 @@ def test_idf_positive_for_indexed_terms_random():
     for _ in range(40):
         store = _random_store(rng, rng.randrange(1, 10), vocab)
         index = build_index(store)
-        for term in index.postings:
-            assert index.idf(term) > 0.0
+        # impacts are idf times a positive tf factor, so idf > 0 shows as impacts > 0
+        assert all(span.stop > span.start for span in index.terms.values())
+        assert (index.impacts > 0.0).all()
 
 
 def test_adding_irrelevant_passage_keeps_candidate_set():
@@ -211,12 +220,15 @@ def test_adding_irrelevant_passage_keeps_candidate_set():
 
 def test_index_save_load_roundtrip(tmp_path):
     store = three_doc_store()
-    index = build_index(store)
-    path = tmp_path / "index.json"
+    index = build_index(store, AnalyzerConfig(stopwords=frozenset({"b"})), k1=1.5, b=0.5)
+    path = tmp_path / "index.npz"
     save_index(index, path)
     again = load_index(path)
-    assert again.n_docs == index.n_docs
-    assert again.avg_length == index.avg_length
+    assert again.ids == index.ids
+    assert again.terms == index.terms
+    assert (again.k1, again.b, again.analyzer) == (index.k1, index.b, index.analyzer)
+    assert again.rows.tolist() == index.rows.tolist()
+    assert again.impacts.tolist() == index.impacts.tolist()
     for query in ("a", "b", "c", "a b c"):
         got = search(again, query, k=3)
         want = search(index, query, k=3)
@@ -224,11 +236,163 @@ def test_index_save_load_roundtrip(tmp_path):
         assert [c.score for c in got.items] == [c.score for c in want.items]
 
 
+def test_index_save_writes_the_given_path(tmp_path):
+    index = build_index(three_doc_store())
+    for name in ("index.json", "index"):
+        save_index(index, tmp_path / name)
+        save_index(index, str(tmp_path / name))
+        assert load_index(tmp_path / name).ids == index.ids
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index", "index.json"]
+
+
 def test_index_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "index.json"
     path.write_text('{"format": "other"}', encoding="utf-8")
     with pytest.raises(RetrievalError, match="not a BM25 index"):
         load_index(path)
+
+
+V1_JSON_INDEX = (
+    '{"format": "ragsel-bm25-index", "version": 1, "k1": 1.2, "b": 0.75,'
+    ' "analyzer": {"lowercase": true, "stopwords": []},'
+    ' "lengths": {"d1": 1}, "postings": {"a": [["d1", 1]]}}'
+)
+
+
+def _write_with(save, path, *args, **kwargs):
+    with open(path, "wb") as fh:
+        save(fh, *args, **kwargs)
+
+
+def _header(**fields):
+    return np.frombuffer(json.dumps(fields).encode("utf-8"), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: path.write_text(V1_JSON_INDEX, encoding="utf-8"),
+        lambda path: path.write_bytes(b""),
+        lambda path: path.write_bytes(b"PK\x03\x04 not really a zip"),
+        lambda path: _write_with(np.save, path, np.arange(3)),
+        lambda path: _write_with(np.savez, path, rows=np.arange(3)),
+        lambda path: _write_with(np.savez, path, header=np.arange(3, dtype=np.uint8)),
+        lambda path: _write_with(np.savez, path, header=_header(format="ragsel-bm25-index", version=1)),
+        lambda path: _write_with(np.savez, path, header=np.array([{"format": "x"}], dtype=object)),
+    ],
+    ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled"],
+)
+def test_index_load_rejects_foreign_files(tmp_path, write):
+    path = tmp_path / "index.npz"
+    write(path)
+    with pytest.raises(RetrievalError, match="not a BM25 index"):
+        load_index(path)
+
+
+def test_index_load_rejects_truncated_file(tmp_path):
+    store = _random_store(random.Random(5), 40, [f"v{i}" for i in range(30)])
+    path = tmp_path / "index.npz"
+    save_index(build_index(store), path)
+    data = path.read_bytes()
+    for size in sorted({1, 4, 30, 100, len(data) // 3, len(data) // 2, len(data) - 22, len(data) - 1}):
+        path.write_bytes(data[:size])
+        with pytest.raises(RetrievalError, match="not a BM25 index"):
+            load_index(path)
+
+
+def test_index_load_rejects_inconsistent_arrays(tmp_path):
+    index = build_index(three_doc_store())
+    path = tmp_path / "index.npz"
+    save_index(index, path)
+    with np.load(path) as npz:
+        good = dict(npz)
+    for name, bad in [
+        ("rows", good["rows"][:-1]),
+        ("rows", good["rows"] + 3),
+        ("impacts", good["impacts"].astype(np.float32)),
+        ("offsets", good["offsets"][::-1]),
+    ]:
+        _write_with(np.savez, path, **{**good, name: bad})
+        with pytest.raises(RetrievalError, match="not a BM25 index"):
+            load_index(path)
+
+
+# --- exactness against the term-at-a-time loop ----------------------------
+
+
+class LoopBm25:
+    """The dict-of-postings, term-at-a-time BM25 that search replaced.
+
+    Kept as the reference: the array search must return the same ids and
+    the same float scores, because it adds the same impacts in the same
+    query-term order.
+    """
+
+    def __init__(self, store, analyzer=AnalyzerConfig(), k1=1.2, b=0.75):
+        self.analyzer, self.k1, self.b = analyzer, k1, b
+        self.postings: dict[str, list[tuple[str, int]]] = {}
+        self.lengths: dict[str, int] = {}
+        for passage in store:
+            terms = analyze(passage.text, analyzer)
+            self.lengths[passage.id] = len(terms)
+            for term, tf in Counter(terms).items():
+                self.postings.setdefault(term, []).append((passage.id, tf))
+        self.avg_length = sum(self.lengths.values()) / len(self.lengths)
+
+    def idf(self, term):
+        df = len(self.postings.get(term, ()))
+        if df == 0:
+            return 0.0
+        n = len(self.lengths)
+        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+    def weight(self, idf, tf, length):
+        norm = 1.0 - self.b + self.b * length / self.avg_length
+        return idf * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
+
+    def search(self, query, k):
+        scores: dict[str, float] = {}
+        for term in dict.fromkeys(analyze(query, self.analyzer)):
+            idf = self.idf(term)
+            if idf == 0.0:
+                continue
+            for pid, tf in self.postings[term]:
+                scores[pid] = scores.get(pid, 0.0) + self.weight(idf, tf, self.lengths[pid])
+        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        return ranked[:k]
+
+
+def test_search_equals_loop_reference_random(tmp_path):
+    rng = random.Random(41)
+    ties_at_k = beyond_hits = 0
+    for trial in range(150):
+        vocab = [f"v{i}" for i in range(rng.randrange(3, 25))]
+        passages = []
+        for i, pid in enumerate(rng.sample(range(10_000), rng.randrange(1, 40))):
+            if passages and rng.random() < 0.3:
+                text = rng.choice(passages).text  # duplicate text: tied scores
+            else:
+                text = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 15)))
+            passages.append(Passage(id=f"p{pid}", doc_id=f"d{i}", text=text))
+        store = PassageStore(passages)
+        k1, b = rng.choice([(1.2, 0.75), (0.9, 0.4), (2.0, 1.0), (1.2, 0.0)])
+        index = build_index(store, k1=k1, b=b)
+        if trial % 10 == 0:
+            path = tmp_path / f"index{trial}"
+            save_index(index, path)
+            index = load_index(path)
+        reference = LoopBm25(store, k1=k1, b=b)
+        for _ in range(8):
+            words = [rng.choice(vocab + ["unknown", "V1"]) for _ in range(rng.randrange(1, 6))]
+            query = " ".join(words + rng.sample(words, rng.randrange(0, len(words) + 1)))
+            k = rng.randrange(1, len(passages) + 4)
+            want = reference.search(query, k)
+            got = search(index, query, k)
+            assert [(c.passage_id, c.score) for c in got.items] == want, (query, k)
+            every = reference.search(query, len(passages))
+            beyond_hits += k > len(every)
+            ties_at_k += k < len(every) and every[k - 1][1] == every[k][1]
+    assert ties_at_k >= 20 and beyond_hits >= 20
 
 
 def test_candidate_list_roundtrip():
