@@ -103,13 +103,7 @@ def default_config() -> dict:
         "selection_backend": _backend_defaults("selector"),
         "generation_backend": _backend_defaults("generator"),
         "embedding_backend": _backend_defaults("embedder"),
-        "metrics": {
-            "hit_mode": "any",
-            "precision_denominator": "k",
-            "rank_k": 10,
-            "pr_k": 5,
-            "max_k": 10,
-        },
+        "metrics": MetricsConfig().to_dict(),
         "distill": {
             "teacher_model": None,
             "expected_candidates": 20,
@@ -252,6 +246,11 @@ def validate_config(cfg: dict) -> None:
         b = cfg[section]
         _expect(b["kind"] in ("transcript", "http"), f"{section}.kind", "must be 'transcript' or 'http'")
         _expect(bool(b["model"]), f"{section}.model", "must be set")
+        _expect(
+            not (b["record"] and b["kind"] == "http"),
+            f"{section}.record",
+            "recording is a transcript option; set kind to 'transcript' and give an endpoint",
+        )
     d = cfg["distill"]
     _expect(
         isinstance(d["expected_candidates"], int) and d["expected_candidates"] >= 1,
@@ -282,54 +281,26 @@ def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
     return path
 
 
-def _check_backend_complete(b: dict, section: str) -> None:
-    """Completeness is enforced only when a command actually uses a backend,
-    so unrelated sections may stay unconfigured."""
+def build_backend(cfg: dict, section: str):
+    """The chat or embedding backend of one config section. Sections are
+    checked for completeness only here, when a command uses them, so unrelated
+    sections may stay unconfigured."""
+    b = cfg[section]
+    embed = section == "embedding_backend"
+    live = None
     if b["kind"] == "http" or b["record"]:
         _expect(bool(b["endpoint"]), f"{section}.endpoint", "required for http or record mode")
-    if b["kind"] == "transcript":
-        _expect(bool(b["transcript"]), f"{section}.transcript", "required for transcript mode")
-
-
-def build_chat_backend(cfg: dict, section: str):
-    b = cfg[section]
-    _check_backend_complete(b, section)
-    if b["kind"] == "http":
-        return HttpChatBackend(
-            b["endpoint"],
-            api_key_env=b["api_key_env"],
-            timeout=b["timeout"],
-            max_attempts=b["max_attempts"],
-            backoff_base=b["backoff_base"],
-        )
-    record_from = None
-    if b["record"]:
-        record_from = HttpChatBackend(
-            b["endpoint"],
-            api_key_env=b["api_key_env"],
-            timeout=b["timeout"],
-            max_attempts=b["max_attempts"],
-            backoff_base=b["backoff_base"],
-        )
-    return TranscriptChatBackend(b["transcript"], record_from=record_from)
-
-
-def build_embed_backend(cfg: dict):
-    b = cfg["embedding_backend"]
-    _check_backend_complete(b, "embedding_backend")
-    if b["kind"] == "http":
-        return HttpEmbedBackend(
-            b["endpoint"],
-            b["model"],
-            api_key_env=b["api_key_env"],
-            timeout=b["timeout"],
-            max_attempts=b["max_attempts"],
-            backoff_base=b["backoff_base"],
-        )
-    record_from = None
-    if b["record"]:
-        record_from = HttpEmbedBackend(b["endpoint"], b["model"], api_key_env=b["api_key_env"])
-    return TranscriptEmbedBackend(b["transcript"], b["model"], record_from=record_from)
+        settings = {key: b[key] for key in ("api_key_env", "timeout", "max_attempts", "backoff_base")}
+        if embed:
+            live = HttpEmbedBackend(b["endpoint"], b["model"], **settings)
+        else:
+            live = HttpChatBackend(b["endpoint"], **settings)
+        if b["kind"] == "http":
+            return live
+    _expect(bool(b["transcript"]), f"{section}.transcript", "required for transcript mode")
+    if embed:
+        return TranscriptEmbedBackend(b["transcript"], b["model"], record_from=live)
+    return TranscriptChatBackend(b["transcript"], record_from=live)
 
 
 def build_store(cfg: dict):
@@ -340,18 +311,29 @@ def build_store(cfg: dict):
 def build_retriever(cfg: dict, store):
     r = cfg["retriever"]
     if r["kind"] == "bm25":
+        analyzer = AnalyzerConfig(lowercase=r["lowercase"], stopwords=frozenset(r["stopwords"]))
         index_path = cfg["paths"].get("index")
-        if index_path and Path(index_path).exists():
-            index = load_index(index_path)
-        else:
-            analyzer = AnalyzerConfig(
-                lowercase=r["lowercase"], stopwords=frozenset(r["stopwords"])
+        if not (index_path and Path(index_path).exists()):
+            return Bm25Retriever(build_index(store, analyzer, k1=r["k1"], b=r["b"]))
+        index = load_index(index_path)
+        wanted = {"k1": r["k1"], "b": r["b"], **analyzer.to_dict()}
+        saved = {"k1": index.k1, "b": index.b, **index.analyzer.to_dict()}
+        for key, value in wanted.items():
+            _expect(
+                value == saved[key],
+                f"retriever.{key}",
+                f"is {value!r} but the saved index {index_path} has {saved[key]!r}; "
+                "rebuild it with `ragsel index`",
             )
-            index = build_index(store, analyzer, k1=r["k1"], b=r["b"])
+        _expect(
+            index.ids == store.ids,
+            "paths.index",
+            f"{index_path} was built over other passages than the corpus; rebuild it with `ragsel index`",
+        )
         return Bm25Retriever(index)
     cache_path = cfg["paths"].get("embedding_cache")
     _expect(bool(cache_path), "paths.embedding_cache", "required for the dense retriever")
-    return DenseRetriever(build_embed_backend(cfg), store, cache_path)
+    return DenseRetriever(build_backend(cfg, "embedding_backend"), store, cache_path)
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
@@ -370,14 +352,7 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
 
 
 def metrics_config(cfg: dict) -> MetricsConfig:
-    m = cfg["metrics"]
-    return MetricsConfig(
-        hit_mode=m["hit_mode"],
-        precision_denominator=m["precision_denominator"],
-        rank_k=m["rank_k"],
-        pr_k=m["pr_k"],
-        max_k=m["max_k"],
-    )
+    return MetricsConfig(**cfg["metrics"])
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -434,7 +409,7 @@ def cmd_select(cfg: dict, args) -> int:
     if len(candidates) == 0:
         print(json.dumps({"id": question.id, "no_candidates": True}))
         return 0
-    backend = build_chat_backend(cfg, "selection_backend")
+    backend = build_backend(cfg, "selection_backend")
     outcome = select(
         question.question,
         [store.get(pid).text for pid in candidates.ids],
@@ -458,8 +433,8 @@ def cmd_run(cfg: dict, args) -> int:
     store = build_store(cfg)
     retriever = build_retriever(cfg, store)
     questions = load_questions(_require_path(cfg, "questions"))
-    select_backend = build_chat_backend(cfg, "selection_backend")
-    generate_backend = build_chat_backend(cfg, "generation_backend")
+    select_backend = build_backend(cfg, "selection_backend")
+    generate_backend = build_backend(cfg, "generation_backend")
     traces, manifest = run_benchmark(
         questions,
         retriever,
@@ -541,7 +516,7 @@ def cmd_distill(cfg: dict, args) -> int:
     checkpoint_path = (
         cfg["paths"].get("distill_checkpoint") or Path(str(output_path) + ".checkpoint")
     )
-    backend = build_chat_backend(cfg, "selection_backend")
+    backend = build_backend(cfg, "selection_backend")
     d = cfg["distill"]
     model = d["teacher_model"] or cfg["selection_backend"]["model"]
     stats = run_labeling(

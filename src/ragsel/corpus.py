@@ -123,7 +123,7 @@ class QuestionRecord:
 
 
 class PassageStore:
-    """Ordered passage collection with id lookup and length statistics."""
+    """Ordered passage collection with id lookup."""
 
     def __init__(self, passages: Iterable[Passage]):
         self._passages: list[Passage] = list(passages)
@@ -132,7 +132,6 @@ class PassageStore:
             if p.id in self._by_id:
                 raise CorpusError(f"duplicate passage id: {p.id!r}")
             self._by_id[p.id] = p
-        self._lengths = {p.id: word_count(p.text) for p in self._passages}
 
     def __len__(self) -> int:
         return len(self._passages)
@@ -144,10 +143,6 @@ class PassageStore:
         return passage_id in self._by_id
 
     @property
-    def passages(self) -> list[Passage]:
-        return list(self._passages)
-
-    @property
     def ids(self) -> list[str]:
         return [p.id for p in self._passages]
 
@@ -156,16 +151,6 @@ class PassageStore:
             return self._by_id[passage_id]
         except KeyError:
             raise CorpusError(f"unknown passage id: {passage_id!r}") from None
-
-    def length(self, passage_id: str) -> int:
-        self.get(passage_id)
-        return self._lengths[passage_id]
-
-    @property
-    def avg_length(self) -> float:
-        if not self._passages:
-            return 0.0
-        return sum(self._lengths.values()) / len(self._passages)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 import time
@@ -29,7 +30,8 @@ class TransportError(RuntimeError):
 
 
 class ApiError(RuntimeError):
-    """Non-retryable HTTP error (4xx other than 429); carries the body."""
+    """Non-retryable HTTP error (4xx other than 429, or a malformed 200
+    body); carries the body."""
 
     def __init__(self, status: int, body: str):
         super().__init__(f"HTTP {status}: {body}")
@@ -138,8 +140,8 @@ def _with_retries(call, max_attempts: int, backoff_base: float, sleep=time.sleep
     raise TransportError(f"gave up after {max_attempts} attempts: {last_error}")
 
 
-class HttpChatBackend:
-    """Chat-completions client for an OpenAI-compatible endpoint.
+class HttpClient:
+    """JSON-over-HTTP client for an OpenAI-compatible endpoint.
 
     Credentials come from the named environment variable, never from the
     request itself; a semaphore bounds in-flight requests.
@@ -160,21 +162,47 @@ class HttpChatBackend:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._semaphore = threading.Semaphore(max_inflight)
-        self.estimated_calls = 0
-
-    def describe(self) -> dict:
-        return {"kind": "http", "endpoint": self.endpoint}
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.api_key_env:
-            import os
-
             key = os.environ.get(self.api_key_env)
             if not key:
                 raise ApiError(401, f"environment variable {self.api_key_env!r} is not set")
             headers["Authorization"] = f"Bearer {key}"
         return headers
+
+    def post(self, route: str, payload: dict, read):
+        """POST ``payload`` to ``endpoint/route`` with retries; returns
+        ``read(decoded body)``. A non-200 status, a body that is not JSON, or
+        one that ``read`` cannot take apart raises ApiError."""
+
+        def call():
+            with self._semaphore:
+                return requests.post(
+                    f"{self.endpoint}/{route}",
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=self.timeout,
+                )
+
+        response = _with_retries(call, self.max_attempts, self.backoff_base)
+        if response.status_code != 200:
+            raise ApiError(response.status_code, response.text)
+        try:
+            return read(response.json())
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ApiError(200, f"malformed response body ({exc!r}): {response.text[:200]}") from None
+
+
+class HttpChatBackend(HttpClient):
+    """Chat completions; usage the provider leaves out is estimated locally
+    and counted in ``estimated_calls``."""
+
+    estimated_calls = 0
+
+    def describe(self) -> dict:
+        return {"kind": "http", "endpoint": self.endpoint}
 
     def chat(self, request: ChatRequest) -> tuple[str, Usage]:
         payload: dict = {
@@ -185,81 +213,43 @@ class HttpChatBackend:
         if request.max_tokens is not None:
             payload["max_tokens"] = request.max_tokens
 
-        def call():
-            with self._semaphore:
-                return requests.post(
-                    f"{self.endpoint}/chat/completions",
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
+        def read(body):
+            text = body["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, not a string")
+            usage = body.get("usage")
+            if usage and "prompt_tokens" in usage and "completion_tokens" in usage:
+                return text, Usage(int(usage["prompt_tokens"]), int(usage["completion_tokens"]))
+            return text, None
 
-        response = _with_retries(call, self.max_attempts, self.backoff_base)
-        if response.status_code != 200:
-            raise ApiError(response.status_code, response.text)
-        body = response.json()
-        text = body["choices"][0]["message"]["content"]
-        usage = body.get("usage")
-        if usage and "prompt_tokens" in usage and "completion_tokens" in usage:
-            return text, Usage(int(usage["prompt_tokens"]), int(usage["completion_tokens"]))
-        # Documented fallback: provider sent no usage, estimate locally.
-        self.estimated_calls += 1
-        prompt_est = sum(estimate_tokens(m["content"]) for m in request.messages)
-        return text, Usage(prompt_est, estimate_tokens(text))
+        text, usage = self.post("chat/completions", payload, read)
+        if usage is None:
+            # Documented fallback: provider sent no usage, estimate locally.
+            self.estimated_calls += 1
+            prompt_est = sum(estimate_tokens(m["content"]) for m in request.messages)
+            usage = Usage(prompt_est, estimate_tokens(text))
+        return text, usage
 
 
-class HttpEmbedBackend:
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str | None = None,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 1.0,
-        max_inflight: int = 8,
-    ):
-        self.endpoint = endpoint.rstrip("/")
+class HttpEmbedBackend(HttpClient):
+    def __init__(self, endpoint: str, model: str, **settings):
+        super().__init__(endpoint, **settings)
         self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self._semaphore = threading.Semaphore(max_inflight)
 
     def describe(self) -> dict:
         return {"kind": "http", "endpoint": self.endpoint, "model": self.model}
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            import os
-
-            key = os.environ.get(self.api_key_env)
-            if not key:
-                raise ApiError(401, f"environment variable {self.api_key_env!r} is not set")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
             return []
 
-        def call():
-            with self._semaphore:
-                return requests.post(
-                    f"{self.endpoint}/embeddings",
-                    json={"model": self.model, "input": list(texts)},
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
+        def read(body):
+            data = body["data"]
+            if not isinstance(data, list) or len(data) != len(texts):
+                raise TypeError(f"'data' is not a list of {len(texts)} embeddings")
+            return [row["embedding"] for row in data]
 
-        response = _with_retries(call, self.max_attempts, self.backoff_base)
-        if response.status_code != 200:
-            raise ApiError(response.status_code, response.text)
-        body = response.json()
-        vectors = [row["embedding"] for row in body["data"]]
-        return _check_uniform(vectors)
+        return _check_uniform(self.post("embeddings", {"model": self.model, "input": list(texts)}, read))
 
 
 def _check_uniform(vectors: list[list[float]]) -> list[list[float]]:
@@ -269,43 +259,59 @@ def _check_uniform(vectors: list[list[float]]) -> list[list[float]]:
     return vectors
 
 
-def load_transcript(path: str | Path) -> dict[str, dict]:
-    entries: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid transcript entry: {exc}") from None
-            entries[record["fingerprint"]] = record
-    return entries
-
-
 def append_transcript_entry(path: str | Path, entry: dict) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-class TranscriptChatBackend:
-    """Deterministic replay of recorded chat completions.
+class TranscriptStore:
+    """Transcript entries keyed by request fingerprint.
 
     A lookup miss raises unless a live backend was attached for record
-    mode, in which case the live response is appended to the transcript
+    mode, in which case the live responses are appended to the transcript
     and returned.
     """
 
-    def __init__(self, path: str | Path, record_from: HttpChatBackend | None = None):
+    def __init__(self, path: str | Path, record_from=None):
         self.path = Path(path)
         self.record_from = record_from
-        if self.path.exists():
-            self._entries = load_transcript(self.path)
-        elif record_from is not None:
-            self._entries = {}
-        else:
-            raise FileNotFoundError(f"transcript file not found: {self.path}")
+        self._entries: dict[str, dict] = {}
         self._lock = threading.Lock()
+        if not self.path.exists():
+            if record_from is None:
+                raise FileNotFoundError(f"transcript file not found: {self.path}")
+            return
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{self.path}: line {lineno}: invalid transcript entry: {exc}") from None
+                self._entries[record["fingerprint"]] = record
+
+    def lookup(self, fingerprints: list[str], fetch) -> list[dict]:
+        """The entry of each fingerprint, in order. In record mode the
+        misses' positions go to ``fetch``, which asks ``record_from`` and
+        returns one new entry body per position."""
+        entries = [self._entries.get(fp) for fp in fingerprints]
+        missing = [i for i, entry in enumerate(entries) if entry is None]
+        if missing:
+            if self.record_from is None:
+                raise TranscriptMissError(fingerprints[missing[0]])
+            fresh = fetch(missing)
+            with self._lock:
+                for i, body in zip(missing, fresh, strict=True):
+                    entry = {"fingerprint": fingerprints[i], **body}
+                    self._entries[fingerprints[i]] = entry
+                    append_transcript_entry(self.path, entry)
+                    entries[i] = entry
+        return entries
+
+
+class TranscriptChatBackend(TranscriptStore):
+    """Deterministic replay of recorded chat completions."""
 
     def describe(self) -> dict:
         info = {"kind": "transcript", "path": str(self.path)}
@@ -314,38 +320,20 @@ class TranscriptChatBackend:
         return info
 
     def chat(self, request: ChatRequest) -> tuple[str, Usage]:
-        fingerprint = request_fingerprint(request.model, request.messages)
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            if self.record_from is None:
-                raise TranscriptMissError(fingerprint)
+        def fetch(_missing):
             text, usage = self.record_from.chat(request)
-            entry = {
-                "fingerprint": fingerprint,
-                "response": text,
-                "prompt_tokens": usage.prompt_tokens,
-                "completion_tokens": usage.completion_tokens,
-            }
-            with self._lock:
-                self._entries[fingerprint] = entry
-                append_transcript_entry(self.path, entry)
+            return [{"response": text, **usage.to_dict()}]
+
+        (entry,) = self.lookup([request_fingerprint(request.model, request.messages)], fetch)
         return entry["response"], Usage(int(entry["prompt_tokens"]), int(entry["completion_tokens"]))
 
 
-class TranscriptEmbedBackend:
+class TranscriptEmbedBackend(TranscriptStore):
     """Replay embeddings recorded per (model, text) fingerprint."""
 
     def __init__(self, path: str | Path, model: str, record_from: HttpEmbedBackend | None = None):
-        self.path = Path(path)
+        super().__init__(path, record_from)
         self.model = model
-        self.record_from = record_from
-        if self.path.exists():
-            self._entries = load_transcript(self.path)
-        elif record_from is not None:
-            self._entries = {}
-        else:
-            raise FileNotFoundError(f"transcript file not found: {self.path}")
-        self._lock = threading.Lock()
 
     def describe(self) -> dict:
         return {"kind": "transcript", "path": str(self.path), "model": self.model}
@@ -353,23 +341,9 @@ class TranscriptEmbedBackend:
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
             return []
-        vectors: list[list[float] | None] = [None] * len(texts)
-        missing: list[int] = []
-        for i, text in enumerate(texts):
-            entry = self._entries.get(text_fingerprint(self.model, text))
-            if entry is None:
-                missing.append(i)
-            else:
-                vectors[i] = entry["vector"]
-        if missing:
-            if self.record_from is None:
-                raise TranscriptMissError(text_fingerprint(self.model, texts[missing[0]]))
-            fresh = self.record_from.embed([texts[i] for i in missing])
-            with self._lock:
-                for i, vec in zip(missing, fresh):
-                    fingerprint = text_fingerprint(self.model, texts[i])
-                    entry = {"fingerprint": fingerprint, "vector": vec}
-                    self._entries[fingerprint] = entry
-                    append_transcript_entry(self.path, entry)
-                    vectors[i] = vec
-        return _check_uniform([v for v in vectors if v is not None])
+
+        def fetch(missing):
+            return [{"vector": v} for v in self.record_from.embed([texts[i] for i in missing])]
+
+        entries = self.lookup([text_fingerprint(self.model, t) for t in texts], fetch)
+        return _check_uniform([entry["vector"] for entry in entries])

@@ -14,7 +14,7 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -226,13 +226,7 @@ class MetricsConfig:
     max_k: int = 10
 
     def to_dict(self) -> dict:
-        return {
-            "hit_mode": self.hit_mode,
-            "precision_denominator": self.precision_denominator,
-            "rank_k": self.rank_k,
-            "pr_k": self.pr_k,
-            "max_k": self.max_k,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -345,20 +339,6 @@ def aggregate_rows(rows: Sequence[dict], config: MetricsConfig = MetricsConfig()
         values = [row[name] for row in rows if row.get(name) is not None]
         out[name] = _mean_entry(values)
     return out
-
-
-def merge_aggregates(a: dict, b: dict) -> dict:
-    """Combine two disjoint partitions' aggregates by weighted counts."""
-    merged = {}
-    for name in set(a) | set(b):
-        ea, eb = a.get(name, {"mean": None, "count": 0}), b.get(name, {"mean": None, "count": 0})
-        count = ea["count"] + eb["count"]
-        if count == 0:
-            merged[name] = {"mean": None, "count": 0}
-        else:
-            total = (ea["mean"] or 0.0) * ea["count"] + (eb["mean"] or 0.0) * eb["count"]
-            merged[name] = {"mean": total / count, "count": count}
-    return merged
 
 
 def evaluate_traces(

@@ -8,6 +8,7 @@ import pytest
 
 from ragsel.cli import (
     ConfigError,
+    build_backend,
     default_config,
     load_config,
     main,
@@ -17,7 +18,13 @@ from ragsel.cli import (
     validate_config,
 )
 from ragsel.corpus import load_corpus
-from ragsel.gateway import append_transcript_entry, request_fingerprint, user_request
+from ragsel.gateway import (
+    HttpChatBackend,
+    HttpEmbedBackend,
+    append_transcript_entry,
+    request_fingerprint,
+    user_request,
+)
 from ragsel.pipeline import PromptStyle, render_answer_prompt
 from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index
 from ragsel.selection import Strategy, render_prompt
@@ -122,6 +129,7 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"distill": {"retries": -1}}, "distill.retries"),
         ({"distill": {"variants": ["listwise_rerank"]}}, "distill.variants"),
         ({"chunk_limit": 0}, "chunk_limit"),
+        ({"generation_backend": {"kind": "http", "record": True}}, "generation_backend.record"),
     ],
 )
 def test_validate_config_rejections(override, field):
@@ -132,17 +140,33 @@ def test_validate_config_rejections(override, field):
 
 
 def test_backend_requirements_checked_at_build():
-    from ragsel.cli import build_chat_backend
-
     cfg = merge_config(default_config(), {"selection_backend": {"kind": "http"}})
     validate_config(cfg)  # incomplete sections are fine until used
     with pytest.raises(ConfigError) as excinfo:
-        build_chat_backend(cfg, "selection_backend")
+        build_backend(cfg, "selection_backend")
     assert "selection_backend.endpoint" in str(excinfo.value)
     cfg = default_config()
     with pytest.raises(ConfigError) as excinfo:
-        build_chat_backend(cfg, "generation_backend")
+        build_backend(cfg, "generation_backend")
     assert "generation_backend.transcript" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("section", ["selection_backend", "generation_backend", "embedding_backend"])
+@pytest.mark.parametrize("mode", ["http", "record"])
+def test_backend_http_settings_reach_client(tmp_path, section, mode):
+    settings = {"timeout": 5.0, "max_attempts": 7, "backoff_base": 0.1, "api_key_env": "SOME_KEY_VAR"}
+    override = {"endpoint": "http://127.0.0.1:1/v1/", **settings}
+    if mode == "record":
+        override.update(kind="transcript", record=True, transcript=str(tmp_path / "rec.jsonl"))
+    else:
+        override.update(kind="http")
+    cfg = merge_config(default_config(), {section: override})
+    validate_config(cfg)
+    backend = build_backend(cfg, section)
+    client = backend.record_from if mode == "record" else backend
+    assert isinstance(client, HttpEmbedBackend if section == "embedding_backend" else HttpChatBackend)
+    assert client.endpoint == "http://127.0.0.1:1/v1"
+    assert {key: getattr(client, key) for key in settings} == settings
 
 
 # --- workspace fixture -----------------------------------------------------------
@@ -352,6 +376,30 @@ def test_cli_index_and_retrieve(tmp_path, capsys):
     lines = (tmp_path / "out" / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["query_id"] == "q1"
+
+
+def test_cli_saved_index_must_match_config_and_corpus(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    index_path = tmp_path / "saved.npz"
+    index_set = ["--set", f"paths.index={index_path}"]
+    assert main(["index", "--config", str(config_path), *index_set]) == 0
+    assert main(["retrieve", "--config", str(config_path), *index_set, "--query", "apple"]) == 0
+    capsys.readouterr()
+    for override, field in [
+        ("retriever.k1=3.0", "retriever.k1"),
+        ("retriever.b=0.5", "retriever.b"),
+        ("retriever.lowercase=false", "retriever.lowercase"),
+        ('retriever.stopwords=["apple"]', "retriever.stopwords"),
+    ]:
+        argv = ["retrieve", "--config", str(config_path), *index_set, "--set", override, "--query", "apple"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + field) and "ragsel index" in err
+    # the same settings over a corpus with one passage more
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "p9", "doc_id": "d9", "text": "apple pie"}) + "\n")
+    assert main(["retrieve", "--config", str(config_path), *index_set, "--query", "apple"]) == 2
+    assert capsys.readouterr().err.startswith("config error: paths.index")
 
 
 def test_cli_select_single_question(tmp_path, capsys):

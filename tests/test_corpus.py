@@ -133,7 +133,7 @@ def test_chunking_700_words_limit_300_gives_three_chunks(tmp_path):
     _write_jsonl(path, [{"id": "x", "doc_id": "d", "text": text}])
     store = load_corpus(path, chunk_limit=300)
     assert store.ids == ["x#0", "x#1", "x#2"]
-    assert [store.length(pid) for pid in store.ids] == [300, 300, 100]
+    assert [word_count(store.get(pid).text) for pid in store.ids] == [300, 300, 100]
     assert " ".join(p.text for p in store) == text
     assert all(p.doc_id == "d" for p in store)
 
@@ -144,7 +144,7 @@ def test_chunking_disabled_with_none(tmp_path):
     _write_jsonl(path, [{"id": "x", "doc_id": "d", "text": text}])
     store = load_corpus(path, chunk_limit=None)
     assert store.ids == ["x"]
-    assert store.length("x") == 700
+    assert word_count(store.get("x").text) == 700
 
 
 def test_chunk_text_never_splits_single_oversize_sentence():
@@ -183,7 +183,7 @@ def test_store_roundtrip_field_identical(tmp_path):
     path = tmp_path / "out.jsonl"
     store.save(path)
     again = load_corpus(path)
-    assert again.passages == passages
+    assert list(again) == passages
 
 
 def test_store_stats_consistent():
@@ -194,9 +194,9 @@ def test_store_stats_consistent():
         ]
     )
     assert len(store) == 2
-    assert store.length("a") == 3
-    assert store.length("b") == 1
-    assert store.avg_length == (3 + 1) / 2
+    assert list(store) == [store.get("a"), store.get("b")]
+    assert word_count(store.get("a").text) == 3
+    assert word_count(store.get("b").text) == 1
 
 
 def test_store_unknown_id_errors():

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from ragsel.gateway import TransportError, Usage
+from ragsel.gateway import HttpChatBackend, TransportError, Usage
 from ragsel.distill import (
     DistillError,
     LabelingStats,
@@ -324,6 +324,18 @@ def test_run_labeling_with_variants(tmp_path):
         assert parsed and sanitize_indices(parsed, 4) == parsed
     prompts = {s: rs[0]["messages"][0]["content"] for s, rs in by_strategy.items()}
     assert len(set(prompts.values())) == 3
+
+
+def test_run_labeling_malformed_reply_is_transport_reject(tmp_path, scripted_server):
+    good = {"choices": [{"message": {"content": GOOD}}], "usage": {"prompt_tokens": 5, "completion_tokens": 2}}
+    # q1 gets a 200 without choices, q2 a good reply; one worker keeps the order
+    with scripted_server([(200, {"id": "x"}), (200, good)]) as (endpoint, log):
+        stats = run(tmp_path, HttpChatBackend(endpoint, backoff_base=0.001), n=2, concurrency=1)
+    assert len(log) == 2
+    assert stats.accepted == 1 and stats.rejected == 1
+    assert stats.reject_reasons == {"transport": 1}
+    assert [r["query_id"] for r in read_records(tmp_path)] == ["q2"]
+    assert (tmp_path / "ck.txt").read_text(encoding="utf-8").split() == ["q2"]
 
 
 def test_run_labeling_bad_input_aborts(tmp_path):

@@ -1,8 +1,6 @@
 import json
 import random
 import threading
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -146,6 +144,7 @@ def test_record_mode_writes_then_replays(tmp_path):
     # and a new backend replays from the recorded file
     replay = TranscriptChatBackend(path)
     assert replay.chat(user_request("m", "fresh")) == ("live answer", Usage(9, 3))
+    assert json.loads(path.read_text(encoding="utf-8")) == _entry("m", "fresh", "live answer", pt=9, ct=3)
 
 
 def test_usage_totals_are_additive(tmp_path):
@@ -165,42 +164,6 @@ def test_usage_totals_are_additive(tmp_path):
 # --- live HTTP backends against a scripted local server -------------------
 
 
-class _ScriptedHandler(BaseHTTPRequestHandler):
-    script = []
-    log = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length) or b"{}")
-        type(self).log.append(
-            {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
-        )
-        status, body = type(self).script.pop(0) if type(self).script else (500, {"error": "empty script"})
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, fmt, *args):
-        pass
-
-
-@contextmanager
-def scripted_server(script):
-    _ScriptedHandler.script = list(script)
-    _ScriptedHandler.log = []
-    server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}", _ScriptedHandler.log
-    finally:
-        server.shutdown()
-        thread.join()
-
-
 def _chat_body(text, usage=None):
     body = {"choices": [{"message": {"role": "assistant", "content": text}}]}
     if usage is not None:
@@ -208,7 +171,7 @@ def _chat_body(text, usage=None):
     return body
 
 
-def test_http_chat_success(monkeypatch):
+def test_http_chat_success(monkeypatch, scripted_server):
     monkeypatch.setenv("TEST_GW_KEY", "sekrit")
     script = [(200, _chat_body("hi there", {"prompt_tokens": 12, "completion_tokens": 4}))]
     with scripted_server(script) as (endpoint, log):
@@ -222,7 +185,7 @@ def test_http_chat_success(monkeypatch):
     assert log[0]["payload"]["max_tokens"] == 64
 
 
-def test_http_chat_retries_on_429_then_succeeds():
+def test_http_chat_retries_on_429_then_succeeds(scripted_server):
     script = [(429, {"error": "slow down"}), (200, _chat_body("ok", {"prompt_tokens": 1, "completion_tokens": 1}))]
     with scripted_server(script) as (endpoint, log):
         backend = HttpChatBackend(endpoint, backoff_base=0.001)
@@ -231,7 +194,7 @@ def test_http_chat_retries_on_429_then_succeeds():
     assert len(log) == 2
 
 
-def test_http_chat_exhausts_retries_on_5xx():
+def test_http_chat_exhausts_retries_on_5xx(scripted_server):
     script = [(503, {}), (503, {}), (503, {})]
     with scripted_server(script) as (endpoint, log):
         backend = HttpChatBackend(endpoint, backoff_base=0.001, max_attempts=3)
@@ -240,7 +203,7 @@ def test_http_chat_exhausts_retries_on_5xx():
     assert len(log) == 3
 
 
-def test_http_chat_4xx_not_retried():
+def test_http_chat_4xx_not_retried(scripted_server):
     script = [(400, {"error": "bad request body"})]
     with scripted_server(script) as (endpoint, log):
         backend = HttpChatBackend(endpoint, backoff_base=0.001)
@@ -249,7 +212,33 @@ def test_http_chat_4xx_not_retried():
     assert len(log) == 1
 
 
-def test_http_chat_estimates_when_usage_missing():
+@pytest.mark.parametrize(
+    "body",
+    [{}, {"choices": []}, {"choices": [{"message": {"content": None}}]}, [1, 2], b"<html>oops</html>"],
+    ids=["empty", "no-choice", "null-content", "list", "not-json"],
+)
+def test_http_chat_malformed_200_is_api_error(scripted_server, body):
+    with scripted_server([(200, body)]) as (endpoint, log):
+        backend = HttpChatBackend(endpoint, backoff_base=0.001)
+        with pytest.raises(ApiError, match="malformed response body") as excinfo:
+            backend.chat(user_request("m", "q"))
+    assert excinfo.value.status == 200
+    assert len(log) == 1  # a malformed reply is not retried
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"data": {"embedding": [1.0]}}, {"data": "x"}, {"data": [{"embedding": [1.0]}]}, {}, b"not json"],
+    ids=["dict-data", "str-data", "too-few", "no-data", "not-json"],
+)
+def test_http_embed_malformed_200_is_api_error(scripted_server, body):
+    with scripted_server([(200, body)]) as (endpoint, _):
+        backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        with pytest.raises(ApiError, match="malformed response body"):
+            backend.embed(["a", "b"])
+
+
+def test_http_chat_estimates_when_usage_missing(scripted_server):
     script = [(200, _chat_body("a b c"))]
     with scripted_server(script) as (endpoint, _):
         backend = HttpChatBackend(endpoint, backoff_base=0.001)
@@ -271,7 +260,7 @@ def test_http_chat_missing_credential_env():
         backend.chat(user_request("m", "q"))
 
 
-def test_http_embed_success_and_uniform_dims():
+def test_http_embed_success_and_uniform_dims(scripted_server):
     script = [(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]})]
     with scripted_server(script) as (endpoint, log):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
@@ -281,7 +270,7 @@ def test_http_embed_success_and_uniform_dims():
     assert log[0]["payload"] == {"model": "emb", "input": ["a", "b"]}
 
 
-def test_http_embed_inconsistent_dims_error():
+def test_http_embed_inconsistent_dims_error(scripted_server):
     script = [(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0]}]})]
     with scripted_server(script) as (endpoint, _):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
@@ -311,6 +300,11 @@ def test_transcript_embed_record_and_replay(tmp_path):
     backend = TranscriptEmbedBackend(path, model="emb", record_from=live)
     assert backend.embed(["abc", "de"]) == [[3.0, 1.0], [2.0, 1.0]]
     assert live.calls == 1
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert lines == [
+        {"fingerprint": text_fingerprint("emb", "abc"), "vector": [3.0, 1.0]},
+        {"fingerprint": text_fingerprint("emb", "de"), "vector": [2.0, 1.0]},
+    ]
     replay = TranscriptEmbedBackend(path, model="emb")
     assert replay.embed(["abc"]) == [[3.0, 1.0]]
     with pytest.raises(TranscriptMissError):

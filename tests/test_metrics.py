@@ -15,7 +15,6 @@ from ragsel.metrics import (
     MetricReport,
     MetricsConfig,
     MetricsError,
-    aggregate_rows,
     containment_accuracy,
     evaluate_trace,
     evaluate_traces,
@@ -23,7 +22,6 @@ from ragsel.metrics import (
     hit_at_k,
     info_coverage_at_k,
     judge_relevance,
-    merge_aggregates,
     mrr_at_k,
     ndcg_at_k,
     normalize_answer,
@@ -412,26 +410,6 @@ def test_no_candidate_trace_scores_zero():
     # query still participates in rank aggregates
     assert report.aggregate["mrr@10"]["count"] == 2
     assert report.aggregate["mrr@10"]["mean"] == pytest.approx(0.5)
-
-
-def test_aggregate_partition_merge():
-    rng = random.Random(4242)
-    rows = []
-    for i in range(60):
-        row = {"id": f"q{i}"}
-        for name in ("mrr@10", "em"):
-            row[name] = rng.random() if rng.random() < 0.8 else None
-        rows.append(row)
-    cfg = MetricsConfig()
-    whole = aggregate_rows(rows, cfg)
-    for split in (1, 17, 30, 59):
-        left = aggregate_rows(rows[:split], cfg)
-        right = aggregate_rows(rows[split:], cfg)
-        merged = merge_aggregates(left, right)
-        for name in ("mrr@10", "em"):
-            assert merged[name]["count"] == whole[name]["count"]
-            if whole[name]["count"]:
-                assert merged[name]["mean"] == pytest.approx(whole[name]["mean"], abs=1e-12)
 
 
 def test_report_roundtrip_and_plot_data(tmp_path):

@@ -212,7 +212,7 @@ def test_adding_irrelevant_passage_keeps_candidate_set():
         query = " ".join(rng.choice(vocab) for _ in range(2))
         before = set(search(index, query, k=100).ids)
         extra = Passage(id="zzz_extra", doc_id="x", text="unrelated filler tokens only")
-        bigger = PassageStore(store.passages + [extra])
+        bigger = PassageStore(list(store) + [extra])
         after = set(search(build_index(bigger), query, k=100).ids)
         assert before <= after
         assert "zzz_extra" not in after
