@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -23,16 +24,28 @@ from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, load_corpus, load_question
 from .distill import DistillError, run_labeling
 from .gateway import (
     HttpChatBackend,
+    HttpClient,
     HttpEmbedBackend,
     TranscriptChatBackend,
     TranscriptEmbedBackend,
+    TranscriptError,
 )
-from .metrics import MetricReport, MetricsConfig, MetricsError, evaluate_traces, write_plot_data
+from .metrics import (
+    HIT_MODES,
+    PRECISION_DENOMINATORS,
+    MetricReport,
+    MetricsConfig,
+    MetricsError,
+    evaluate_traces,
+    write_plot_data,
+)
 from .pipeline import (
     PipelineConfig,
+    PipelineError,
     PromptStyle,
     read_traces,
     run_benchmark,
+    select_passages,
     write_manifest,
     write_traces,
 )
@@ -45,7 +58,15 @@ from .retrieval import (
     load_index,
     save_index,
 )
-from .selection import SelectionError, Strategy, select
+from .selection import SelectionError, Strategy
+
+STRATEGIES = tuple(s.value for s in Strategy)
+PROMPT_STYLES = tuple(s.value for s in PromptStyle)
+RETRIEVER_KINDS = (Bm25Retriever.name, DenseRetriever.name)
+BACKEND_KINDS = ("transcript", "http")
+BACKEND_SECTIONS = ("selection_backend", "generation_backend", "embedding_backend")
+HTTP_SETTINGS = ("api_key_env", "timeout", "max_attempts", "backoff_base")
+DISTILL_VARIANTS = (Strategy.COT.value, Strategy.SELECTION_ONLY.value)
 
 
 class ConfigError(ValueError):
@@ -56,21 +77,23 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _backend_defaults(model: str) -> dict:
-    return {
-        "kind": "transcript",
-        "model": model,
-        "transcript": None,
-        "record": False,
-        "endpoint": None,
-        "api_key_env": None,
-        "timeout": 60.0,
-        "max_attempts": 3,
-        "backoff_base": 1.0,
-    }
+def _default(func, name: str):
+    """The default that ``func``'s signature gives parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
 
 
 def default_config() -> dict:
+    """Every setting with its default. Defaults the library already holds
+    are read from it: ``PipelineConfig``, ``AnalyzerConfig``,
+    ``MetricsConfig`` and the signatures of ``build_index``, ``HttpClient``
+    and ``run_labeling``."""
+    run = PipelineConfig().to_dict()
+    k = run.pop("k")
+    models = {
+        "selection_backend": run.pop("selection_model"),
+        "generation_backend": run.pop("generation_model"),
+        "embedding_backend": "embedder",
+    }
     return {
         "paths": {
             "corpus": None,
@@ -86,31 +109,32 @@ def default_config() -> dict:
         },
         "chunk_limit": DEFAULT_CHUNK_LIMIT,
         "retriever": {
-            "kind": "bm25",
-            "k": 20,
-            "k1": 1.2,
-            "b": 0.75,
-            "lowercase": True,
-            "stopwords": [],
+            "kind": Bm25Retriever.name,
+            "k": k,
+            "k1": _default(build_index, "k1"),
+            "b": _default(build_index, "b"),
+            **AnalyzerConfig().to_dict(),
         },
-        "strategy": "requirement_cot",
-        "prompt_style": "general",
-        "concurrency": 4,
-        "rerank_truncate": 5,
-        "selection_max_tokens": None,
-        "generation_max_tokens": 256,
-        "templates_dir": None,
-        "selection_backend": _backend_defaults("selector"),
-        "generation_backend": _backend_defaults("generator"),
-        "embedding_backend": _backend_defaults("embedder"),
+        **run,
+        **{
+            section: {
+                "kind": "transcript",
+                "model": model,
+                "transcript": None,
+                "record": False,
+                "endpoint": None,
+                **{key: _default(HttpClient, key) for key in HTTP_SETTINGS},
+            }
+            for section, model in models.items()
+        },
         "metrics": MetricsConfig().to_dict(),
         "distill": {
             "teacher_model": None,
-            "expected_candidates": 20,
-            "strict_count": True,
-            "retries": 0,
-            "limit": None,
-            "variants": [],
+            **{
+                key: _default(run_labeling, key)
+                for key in ("expected_candidates", "strict_count", "retries", "limit")
+            },
+            "variants": list(_default(run_labeling, "variants")),
         },
     }
 
@@ -148,14 +172,17 @@ def overrides_from_sets(pairs: list[str]) -> dict:
         dotted = dotted.strip()
         if not dotted:
             raise ConfigError("--set", f"empty key in {pair!r}")
-        node = tree
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(dotted, "conflicting override path")
-        node[parts[-1]] = parse_set_value(raw)
+        _put(tree, dotted, parse_set_value(raw))
     return tree
+
+
+def _put(tree: dict, dotted: str, value) -> None:
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        tree = tree.setdefault(part, {})
+        if not isinstance(tree, dict):
+            raise ConfigError(dotted, "conflicting override path")
+    tree[leaf] = value
 
 
 def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) -> dict:
@@ -170,7 +197,7 @@ def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) ->
             raise ConfigError("--config", f"invalid JSON in {path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("--config", "top level must be a JSON object")
-        for section in ("selection_backend", "generation_backend", "embedding_backend"):
+        for section in BACKEND_SECTIONS:
             if isinstance(file_cfg.get(section), dict) and "api_key" in file_cfg[section]:
                 raise ConfigError(
                     f"{section}.api_key",
@@ -192,7 +219,7 @@ def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) ->
             return value
 
         cfg["paths"] = {key: resolve(value) for key, value in cfg["paths"].items()}
-        for section in ("selection_backend", "generation_backend", "embedding_backend"):
+        for section in BACKEND_SECTIONS:
             cfg[section]["transcript"] = resolve(cfg[section]["transcript"])
         cfg["templates_dir"] = resolve(cfg["templates_dir"])
     return cfg
@@ -203,48 +230,43 @@ def _expect(condition: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
+def _lookup(cfg: dict, dotted: str):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
 def validate_config(cfg: dict) -> None:
-    strategies = [s.value for s in Strategy]
-    _expect(cfg["strategy"] in strategies, "strategy", f"must be one of {strategies}")
-    styles = [s.value for s in PromptStyle]
-    _expect(cfg["prompt_style"] in styles, "prompt_style", f"must be one of {styles}")
+    choices = [
+        ("strategy", STRATEGIES),
+        ("prompt_style", PROMPT_STYLES),
+        ("retriever.kind", RETRIEVER_KINDS),
+        ("metrics.hit_mode", HIT_MODES),
+        ("metrics.precision_denominator", PRECISION_DENOMINATORS),
+        *((f"{section}.kind", BACKEND_KINDS) for section in BACKEND_SECTIONS),
+    ]
+    for field, allowed in choices:
+        _expect(_lookup(cfg, field) in allowed, field, f"must be one of {list(allowed)}")
+    for v in cfg["distill"]["variants"]:
+        _expect(v in DISTILL_VARIANTS, "distill.variants", f"must be among {list(DISTILL_VARIANTS)}")
+    positive = (
+        "retriever.k", "concurrency", "rerank_truncate",
+        "metrics.rank_k", "metrics.pr_k", "metrics.max_k", "distill.expected_candidates",
+    )
+    for field in positive:
+        value = _lookup(cfg, field)
+        _expect(isinstance(value, int) and value >= 1, field, "must be a positive integer")
     r = cfg["retriever"]
-    _expect(r["kind"] in ("bm25", "dense"), "retriever.kind", "must be 'bm25' or 'dense'")
-    _expect(isinstance(r["k"], int) and r["k"] >= 1, "retriever.k", "must be a positive integer")
     _expect(r["k1"] > 0, "retriever.k1", "must be positive")
     _expect(0.0 <= r["b"] <= 1.0, "retriever.b", "must be within [0, 1]")
-    _expect(
-        isinstance(cfg["concurrency"], int) and cfg["concurrency"] >= 1,
-        "concurrency",
-        "must be a positive integer",
-    )
-    _expect(
-        isinstance(cfg["rerank_truncate"], int) and cfg["rerank_truncate"] >= 1,
-        "rerank_truncate",
-        "must be a positive integer",
-    )
     limit = cfg["chunk_limit"]
     _expect(
         limit is None or (isinstance(limit, int) and limit >= 1),
         "chunk_limit",
         "must be a positive integer or null",
     )
-    m = cfg["metrics"]
-    _expect(m["hit_mode"] in ("any", "all"), "metrics.hit_mode", "must be 'any' or 'all'")
-    _expect(
-        m["precision_denominator"] in ("k", "returned"),
-        "metrics.precision_denominator",
-        "must be 'k' or 'returned'",
-    )
-    for key in ("rank_k", "pr_k", "max_k"):
-        _expect(
-            isinstance(m[key], int) and m[key] >= 1,
-            f"metrics.{key}",
-            "must be a positive integer",
-        )
-    for section in ("selection_backend", "generation_backend", "embedding_backend"):
+    for section in BACKEND_SECTIONS:
         b = cfg[section]
-        _expect(b["kind"] in ("transcript", "http"), f"{section}.kind", "must be 'transcript' or 'http'")
         _expect(bool(b["model"]), f"{section}.model", "must be set")
         _expect(
             not (b["record"] and b["kind"] == "http"),
@@ -252,11 +274,6 @@ def validate_config(cfg: dict) -> None:
             "recording is a transcript option; set kind to 'transcript' and give an endpoint",
         )
     d = cfg["distill"]
-    _expect(
-        isinstance(d["expected_candidates"], int) and d["expected_candidates"] >= 1,
-        "distill.expected_candidates",
-        "must be a positive integer",
-    )
     _expect(
         isinstance(d["retries"], int) and d["retries"] >= 0,
         "distill.retries",
@@ -267,9 +284,6 @@ def validate_config(cfg: dict) -> None:
         "distill.limit",
         "must be a non-negative integer or null",
     )
-    allowed_variants = (Strategy.COT.value, Strategy.SELECTION_ONLY.value)
-    for v in d["variants"]:
-        _expect(v in allowed_variants, "distill.variants", f"must be among {list(allowed_variants)}")
 
 
 def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
@@ -290,7 +304,7 @@ def build_backend(cfg: dict, section: str):
     live = None
     if b["kind"] == "http" or b["record"]:
         _expect(bool(b["endpoint"]), f"{section}.endpoint", "required for http or record mode")
-        settings = {key: b[key] for key in ("api_key_env", "timeout", "max_attempts", "backoff_base")}
+        settings = {key: b[key] for key in HTTP_SETTINGS}
         if embed:
             live = HttpEmbedBackend(b["endpoint"], b["model"], **settings)
         else:
@@ -308,15 +322,19 @@ def build_store(cfg: dict):
     return load_corpus(corpus_path, chunk_limit=cfg["chunk_limit"])
 
 
+def _build_index(cfg: dict, store):
+    r = cfg["retriever"]
+    return build_index(store, AnalyzerConfig.from_dict(r), k1=r["k1"], b=r["b"])
+
+
 def build_retriever(cfg: dict, store):
     r = cfg["retriever"]
-    if r["kind"] == "bm25":
-        analyzer = AnalyzerConfig(lowercase=r["lowercase"], stopwords=frozenset(r["stopwords"]))
+    if r["kind"] == Bm25Retriever.name:
         index_path = cfg["paths"].get("index")
         if not (index_path and Path(index_path).exists()):
-            return Bm25Retriever(build_index(store, analyzer, k1=r["k1"], b=r["b"]))
+            return Bm25Retriever(_build_index(cfg, store))
         index = load_index(index_path)
-        wanted = {"k1": r["k1"], "b": r["b"], **analyzer.to_dict()}
+        wanted = {"k1": r["k1"], "b": r["b"], **AnalyzerConfig.from_dict(r).to_dict()}
         saved = {"k1": index.k1, "b": index.b, **index.analyzer.to_dict()}
         for key, value in wanted.items():
             _expect(
@@ -371,9 +389,7 @@ def cmd_config(cfg: dict, args) -> int:
 
 def cmd_index(cfg: dict, args) -> int:
     store = build_store(cfg)
-    r = cfg["retriever"]
-    analyzer = AnalyzerConfig(lowercase=r["lowercase"], stopwords=frozenset(r["stopwords"]))
-    index = build_index(store, analyzer, k1=r["k1"], b=r["b"])
+    index = _build_index(cfg, store)
     out = cfg["paths"].get("index") or _output_dir(cfg) / "index.npz"
     save_index(index, out)
     print(f"indexed {len(store)} passages ({len(index.terms)} terms) -> {out}")
@@ -405,24 +421,17 @@ def cmd_select(cfg: dict, args) -> int:
     matches = [q for q in questions if q.id == args.question_id]
     _expect(bool(matches), "--question-id", f"no question with id {args.question_id!r}")
     question = matches[0]
-    candidates = retriever.retrieve(question.question, cfg["retriever"]["k"], query_id=question.id)
+    config = pipeline_config(cfg)
+    candidates = retriever.retrieve(question.question, config.k, query_id=question.id)
     if len(candidates) == 0:
         print(json.dumps({"id": question.id, "no_candidates": True}))
         return 0
     backend = build_backend(cfg, "selection_backend")
-    outcome = select(
-        question.question,
-        [store.get(pid).text for pid in candidates.ids],
-        Strategy(cfg["strategy"]),
-        backend,
-        model=cfg["selection_backend"]["model"],
-        max_tokens=cfg["selection_max_tokens"],
-        templates_dir=cfg["templates_dir"],
-    )
+    outcome, selected_ids = select_passages(question.question, candidates, store, backend, config)
     result = {
         "id": question.id,
         "candidates": candidates.ids,
-        "selected_ids": [candidates.ids[i - 1] for i in outcome.indices],
+        "selected_ids": selected_ids,
         "outcome": outcome.to_dict(),
     }
     print(json.dumps(result, ensure_ascii=False, indent=2))
@@ -549,42 +558,56 @@ def cmd_distill(cfg: dict, args) -> int:
 
 # --- argument parsing ----------------------------------------------------------
 
-_FLAG_PATHS = {
-    "strategy": ("strategy",),
-    "prompt_style": ("prompt_style",),
-    "k": ("retriever", "k"),
-    "retriever": ("retriever", "kind"),
-    "concurrency": ("concurrency",),
-    "hit_mode": ("metrics", "hit_mode"),
-    "output_dir": ("paths", "output_dir"),
-    "traces": ("paths", "traces"),
-    "limit": ("distill", "limit"),
+# dest -> (the config entry it overrides, or None; argparse options). The
+# flag is "--" + dest with dashes for underscores.
+FLAGS = {
+    "config": (None, {"help": "path to a JSON config file"}),
+    "set": (
+        None,
+        {
+            "action": "append",
+            "default": [],
+            "metavar": "KEY=VALUE",
+            "help": "override a config entry by dotted path (value parsed as JSON when possible)",
+        },
+    ),
+    "output_dir": ("paths.output_dir", {"help": "directory for artifacts"}),
+    "question_id": (None, {"required": True, "help": "question id to select for"}),
+    "strategy": ("strategy", {"choices": STRATEGIES, "help": "selection strategy"}),
+    "prompt_style": ("prompt_style", {"choices": PROMPT_STYLES, "help": "answer prompt style"}),
+    "k": ("retriever.k", {"type": int, "help": "candidates per query"}),
+    "retriever": ("retriever.kind", {"choices": RETRIEVER_KINDS, "help": "retriever kind"}),
+    "query": (None, {"help": "run one ad-hoc query instead of the questions file"}),
+    "concurrency": ("concurrency", {"type": int, "help": "parallel queries"}),
+    "traces": ("paths.traces", {"help": "traces file (defaults to <output_dir>/traces.jsonl)"}),
+    "hit_mode": ("metrics.hit_mode", {"choices": HIT_MODES, "help": "hit@k mode"}),
+    "limit": ("distill.limit", {"type": int, "help": "label at most this many new queries"}),
+}
+
+# name -> (function, help, its flags after the common ones)
+COMMANDS = {
+    "config": (cmd_config, "print the effective configuration", ()),
+    "index": (cmd_index, "build and save a lexical index over the corpus", ()),
+    "retrieve": (cmd_retrieve, "retrieve top-k candidates per question", ("k", "retriever", "query")),
+    "select": (cmd_select, "run selection for a single question id", ("question_id", "strategy")),
+    "run": (
+        cmd_run,
+        "run the full pipeline over the questions file",
+        ("strategy", "prompt_style", "k", "retriever", "concurrency"),
+    ),
+    "eval": (cmd_eval, "score saved traces", ("traces", "hit_mode")),
+    "report": (cmd_report, "print a saved evaluation report", ()),
+    "distill": (cmd_distill, "label training data with a teacher model", ("limit",)),
 }
 
 
 def flag_overrides(args) -> dict:
     tree: dict = {}
-    for attr, path in _FLAG_PATHS.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        node = tree
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
+    for dest, (path, _) in FLAGS.items():
+        value = getattr(args, dest, None)
+        if path is not None and value is not None:
+            _put(tree, path, value)
     return tree
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config entry by dotted path (value parsed as JSON when possible)",
-    )
-    parser.add_argument("--output-dir", dest="output_dir", help="directory for artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,57 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("config", help="print the effective configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_config)
-
-    p = sub.add_parser("index", help="build and save a lexical index over the corpus")
-    _add_common(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("retrieve", help="retrieve top-k candidates per question")
-    _add_common(p)
-    p.add_argument("--k", type=int, help="candidates per query")
-    p.add_argument("--retriever", choices=["bm25", "dense"], help="retriever kind")
-    p.add_argument("--query", help="run one ad-hoc query instead of the questions file")
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("select", help="run selection for a single question id")
-    _add_common(p)
-    p.add_argument("--question-id", required=True, help="question id to select for")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], help="selection strategy")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("run", help="run the full pipeline over the questions file")
-    _add_common(p)
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], help="selection strategy")
-    p.add_argument(
-        "--prompt-style",
-        dest="prompt_style",
-        choices=[s.value for s in PromptStyle],
-        help="answer prompt style",
-    )
-    p.add_argument("--k", type=int, help="candidates per query")
-    p.add_argument("--retriever", choices=["bm25", "dense"], help="retriever kind")
-    p.add_argument("--concurrency", type=int, help="parallel queries")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="score saved traces")
-    _add_common(p)
-    p.add_argument("--traces", help="traces file (defaults to <output_dir>/traces.jsonl)")
-    p.add_argument("--hit-mode", dest="hit_mode", choices=["any", "all"], help="hit@k mode")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="print a saved evaluation report")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("distill", help="label training data with a teacher model")
-    _add_common(p)
-    p.add_argument("--limit", type=int, help="label at most this many new queries")
-    p.set_defaults(func=cmd_distill)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in ("config", "set", "output_dir", *flags):
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest][1])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -657,10 +634,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, RetrievalError, SelectionError, MetricsError, DistillError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CorpusError, DistillError, MetricsError, PipelineError, RetrievalError, SelectionError,
+            TranscriptError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

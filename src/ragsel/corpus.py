@@ -87,12 +87,6 @@ class Passage:
     text: str
     title: str | None = None
 
-    def to_dict(self) -> dict:
-        record = {"id": self.id, "doc_id": self.doc_id, "text": self.text}
-        if self.title is not None:
-            record["title"] = self.title
-        return record
-
 
 @dataclass(frozen=True)
 class QuestionRecord:
@@ -139,9 +133,6 @@ class PassageStore:
     def __iter__(self) -> Iterator[Passage]:
         return iter(self._passages)
 
-    def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
-
     @property
     def ids(self) -> list[str]:
         return [p.id for p in self._passages]
@@ -152,13 +143,10 @@ class PassageStore:
         except KeyError:
             raise CorpusError(f"unknown passage id: {passage_id!r}") from None
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in self._passages:
-                fh.write(json.dumps(p.to_dict(), ensure_ascii=False) + "\n")
 
-
-def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def _iter_jsonl(path: str | Path, error: type[Exception] = CorpusError) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line; a line that is not a
+    JSON object raises ``error`` naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -166,9 +154,9 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+                raise error(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {lineno}: expected an object")
+                raise error(f"{path}: line {lineno}: expected an object")
             yield lineno, record
 
 

@@ -28,12 +28,12 @@ from .gateway import (
     user_request,
 )
 from .selection import (
-    SELECTION_MARKER,
     SELECTION_STRATEGIES,
     Strategy,
     parse_selection,
     render_prompt,
     sanitize_indices,
+    split_selection,
 )
 
 
@@ -184,11 +184,6 @@ def build_record(
     )
 
 
-def _final_selection_line(completion: str) -> str:
-    lines = [l for l in completion.splitlines() if SELECTION_MARKER in l]
-    return lines[-1].strip()
-
-
 def derive_variant_record(
     record: TrainingRecord,
     variant: Strategy,
@@ -206,7 +201,7 @@ def derive_variant_record(
         raise DistillError(f"not a selection strategy: {variant.value}")
     prompt = render_prompt(variant, question_text, candidate_texts, templates_dir)
     if variant is Strategy.SELECTION_ONLY:
-        completion = _final_selection_line(record.completion)
+        completion = split_selection(record.completion)[1].strip()
     else:
         completion = record.completion
     return TrainingRecord(
@@ -298,14 +293,14 @@ def run_labeling(
             last_exc = DistillError("no-marker")
         return result, ("no-marker", str(last_exc)), usage
 
-    workers = max(1, concurrency)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(ask, pending))
-
-    with open(output_path, "a", encoding="utf-8") as out_fh, open(
-        rejects_path, "a", encoding="utf-8"
-    ) as rej_fh, open(checkpoint_path, "a", encoding="utf-8") as ck_fh:
-        for query, (result, error, usage) in zip(pending, outcomes):
+    # each outcome is written and checkpointed as soon as it comes back, in
+    # input order, so an interrupt loses no completion already consumed
+    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool, open(
+        output_path, "a", encoding="utf-8"
+    ) as out_fh, open(rejects_path, "a", encoding="utf-8") as rej_fh, open(
+        checkpoint_path, "a", encoding="utf-8"
+    ) as ck_fh:
+        for query, (result, error, usage) in zip(pending, pool.map(ask, pending)):
             stats.teacher_usage = merge_usage(stats.teacher_usage, usage)
             reason = detail = None
             if error is not None and error[0] != "no-marker":

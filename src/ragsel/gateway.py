@@ -20,6 +20,8 @@ from typing import Sequence
 
 import requests
 
+from .corpus import _iter_jsonl
+
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -37,6 +39,10 @@ class ApiError(RuntimeError):
         super().__init__(f"HTTP {status}: {body}")
         self.status = status
         self.body = body
+
+
+class TranscriptError(ValueError):
+    """A transcript file line that is not an entry; names the path and line."""
 
 
 class TranscriptMissError(KeyError):
@@ -92,11 +98,10 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
 
 
-def user_request(model: str, content: str, temperature: float = 0.0, max_tokens: int | None = None) -> ChatRequest:
+def user_request(model: str, content: str, max_tokens: int | None = None) -> ChatRequest:
     return ChatRequest(
         model=model,
         messages=({"role": "user", "content": content},),
-        temperature=temperature,
         max_tokens=max_tokens,
     )
 
@@ -281,15 +286,10 @@ class TranscriptStore:
             if record_from is None:
                 raise FileNotFoundError(f"transcript file not found: {self.path}")
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{self.path}: line {lineno}: invalid transcript entry: {exc}") from None
-                self._entries[record["fingerprint"]] = record
+        for lineno, record in _iter_jsonl(self.path, TranscriptError):
+            if not isinstance(record.get("fingerprint"), str):
+                raise TranscriptError(f"{self.path}: line {lineno}: transcript entry without a fingerprint")
+            self._entries[record["fingerprint"]] = record
 
     def lookup(self, fingerprints: list[str], fetch) -> list[dict]:
         """The entry of each fingerprint, in order. In record mode the

@@ -24,6 +24,9 @@ from .pipeline import QueryTrace
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT = frozenset(string.punctuation)
 
+HIT_MODES = ("any", "all")
+PRECISION_DENOMINATORS = ("k", "returned")
+
 
 class MetricsError(ValueError):
     pass
@@ -70,7 +73,7 @@ def precision_recall_at_k(
     are not rewarded; ``denominator="returned"`` divides by the actual
     count instead.
     """
-    if denominator not in ("k", "returned"):
+    if denominator not in PRECISION_DENOMINATORS:
         raise MetricsError(f"unknown precision denominator mode: {denominator!r}")
     relevant = set(relevant)
     if not relevant:
@@ -126,7 +129,7 @@ def hit_at_k(
 
     mode="any": at least one span matched; mode="all": every span matched.
     """
-    if mode not in ("any", "all"):
+    if mode not in HIT_MODES:
         raise MetricsError(f"unknown hit mode: {mode!r}")
     spans = list(dict.fromkeys(evidence))
     if not spans:

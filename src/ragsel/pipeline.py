@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import PassageStore, Passage, QuestionRecord
+from .corpus import PassageStore, Passage, QuestionRecord, _iter_jsonl
 from .gateway import ApiError, TranscriptMissError, TransportError, Usage, user_request
 from .retrieval import CandidateList
 from .selection import SelectionOutcome, Strategy, load_template, select
@@ -63,18 +63,7 @@ class PipelineConfig:
     templates_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "prompt_style": self.prompt_style.value,
-            "k": self.k,
-            "rerank_truncate": self.rerank_truncate,
-            "concurrency": self.concurrency,
-            "selection_model": self.selection_model,
-            "generation_model": self.generation_model,
-            "selection_max_tokens": self.selection_max_tokens,
-            "generation_max_tokens": self.generation_max_tokens,
-            "templates_dir": self.templates_dir,
-        }
+        return asdict(self)
 
 
 def render_answer_prompt(
@@ -153,6 +142,30 @@ class QueryTrace:
         )
 
 
+def select_passages(
+    question: str,
+    candidates: CandidateList,
+    store: PassageStore,
+    backend,
+    config: PipelineConfig,
+) -> tuple[SelectionOutcome, list[str]]:
+    """Run selection over the candidates; returns the outcome and the ids
+    it selects. A listwise ranking keeps its top ``rerank_truncate``."""
+    outcome = select(
+        question,
+        [store.get(pid).text for pid in candidates.ids],
+        config.strategy,
+        backend,
+        model=config.selection_model,
+        max_tokens=config.selection_max_tokens,
+        templates_dir=config.templates_dir,
+    )
+    indices = outcome.indices
+    if config.strategy is Strategy.LISTWISE_RERANK:
+        indices = indices[: config.rerank_truncate]
+    return outcome, [candidates.ids[i - 1] for i in indices]
+
+
 def run_query(
     question: QuestionRecord,
     retriever,
@@ -170,20 +183,7 @@ def run_query(
         candidates = retriever.retrieve(question.question, config.k, query_id=question.id)
         if len(candidates) == 0:
             return QueryTrace(question=question, candidates=candidates, no_candidates=True)
-        texts = [store.get(pid).text for pid in candidates.ids]
-        outcome = select(
-            question.question,
-            texts,
-            config.strategy,
-            select_backend,
-            model=config.selection_model,
-            max_tokens=config.selection_max_tokens,
-            templates_dir=config.templates_dir,
-        )
-        indices = outcome.indices
-        if config.strategy is Strategy.LISTWISE_RERANK:
-            indices = indices[: config.rerank_truncate]
-        selected_ids = [candidates.ids[i - 1] for i in indices]
+        outcome, selected_ids = select_passages(question.question, candidates, store, select_backend, config)
         passages = [store.get(pid) for pid in selected_ids]
         prompt = render_answer_prompt(
             config.prompt_style, question.question, passages, config.templates_dir
@@ -268,10 +268,11 @@ def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:
 
 def read_traces(path: str | Path) -> list[QueryTrace]:
     traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                traces.append(QueryTrace.from_dict(json.loads(line)))
+    for lineno, record in _iter_jsonl(path, PipelineError):
+        try:
+            traces.append(QueryTrace.from_dict(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PipelineError(f"{path}: line {lineno}: not a trace: {exc!r}") from None
     return traces
 
 

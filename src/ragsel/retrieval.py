@@ -17,12 +17,12 @@ import itertools
 import json
 import math
 import re
-import threading
 import zipfile
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,23 +37,17 @@ class RetrievalError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """Lowercase + Unicode word segmentation; optional stopwords/stemmer."""
+    """Lowercase + Unicode word segmentation; optional stopwords."""
 
     lowercase: bool = True
     stopwords: frozenset[str] = frozenset()
-    stemmer: Callable[[str], str] | None = None
 
     def to_dict(self) -> dict:
-        if self.stemmer is not None:
-            raise RetrievalError("a custom stemmer cannot be serialized")
         return {"lowercase": self.lowercase, "stopwords": sorted(self.stopwords)}
 
     @classmethod
     def from_dict(cls, record: dict) -> "AnalyzerConfig":
-        return cls(
-            lowercase=record.get("lowercase", True),
-            stopwords=frozenset(record.get("stopwords", ())),
-        )
+        return cls(lowercase=record["lowercase"], stopwords=frozenset(record["stopwords"]))
 
 
 def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:
@@ -62,8 +56,6 @@ def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:
     terms = _WORD_RE.findall(text)
     if config.stopwords:
         terms = [t for t in terms if t not in config.stopwords]
-    if config.stemmer is not None:
-        terms = [config.stemmer(t) for t in terms]
     return terms
 
 
@@ -222,9 +214,10 @@ def load_index(path: str | Path) -> Bm25Index:
 
 
 class Bm25Retriever:
-    def __init__(self, index: Bm25Index, name: str = "bm25"):
+    name = "bm25"
+
+    def __init__(self, index: Bm25Index):
         self.index = index
-        self.name = name
 
     def retrieve(self, query: str, k: int, query_id: str = "") -> CandidateList:
         return search(self.index, query, k, query_id=query_id)
@@ -284,7 +277,7 @@ def precompute_embeddings(
     """Embed every passage missing from the cache and persist the result.
 
     The cache is reused only when its model matches the backend's; batches
-    run concurrently under the given parallelism bound.
+    run on a pool of ``parallelism`` threads.
     """
     cache_path = Path(cache_path)
     cache: EmbeddingCache | None = None
@@ -297,25 +290,13 @@ def precompute_embeddings(
         assert cache is not None
         return cache
     batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
-    results: list[list[list[float]] | None] = [None] * len(batches)
-    lock = threading.Semaphore(max(1, parallelism))
-
-    def run(i: int) -> None:
-        with lock:
-            results[i] = backend.embed([p.text for p in batches[i]])
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for i, batch in enumerate(batches):
-        vectors = results[i]
-        assert vectors is not None
-        for passage, vec in zip(batch, vectors):
-            if cache is None:
-                cache = EmbeddingCache(model=backend.model, dim=len(vec))
-            cache.put(passage.id, vec)
+    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        results = pool.map(lambda batch: backend.embed([p.text for p in batch]), batches)
+        for batch, vectors in zip(batches, results):
+            for passage, vec in zip(batch, vectors):
+                if cache is None:
+                    cache = EmbeddingCache(model=backend.model, dim=len(vec))
+                cache.put(passage.id, vec)
     assert cache is not None
     cache.save(cache_path)
     return cache
@@ -367,11 +348,12 @@ def dense_search(
 
 
 class DenseRetriever:
-    def __init__(self, backend, store: PassageStore, cache_path: str | Path, name: str = "dense"):
+    name = "dense"
+
+    def __init__(self, backend, store: PassageStore, cache_path: str | Path):
         self.backend = backend
         self.store = store
         self.cache_path = Path(cache_path)
-        self.name = name
         self._cache: EmbeddingCache | None = None
 
     def _ensure_cache(self) -> EmbeddingCache:

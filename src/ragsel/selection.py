@@ -85,6 +85,22 @@ def render_prompt(
     return prompt.replace("{context}", render_context(candidate_texts))
 
 
+def split_selection(text: str) -> tuple[str, str | None]:
+    """Split a completion at its last '### Final Selection:' line.
+
+    Returns the rest of the text, stripped, and that line (None when no
+    line carries the marker).
+    """
+    lines = text.splitlines()
+    marker_at = None
+    for i, line in enumerate(lines):
+        if SELECTION_MARKER in line:
+            marker_at = i
+    if marker_at is None:
+        return text.strip(), None
+    return "\n".join(lines[:marker_at] + lines[marker_at + 1 :]).strip(), lines[marker_at]
+
+
 def parse_selection(text: str) -> list[int] | None:
     """Extract the selection from the last '### Final Selection:' line.
 
@@ -92,10 +108,7 @@ def parse_selection(text: str) -> list[int] | None:
     (first occurrence wins), or None when no marker line carries a
     bracketed integer.
     """
-    marker_line = None
-    for line in text.splitlines():
-        if SELECTION_MARKER in line:
-            marker_line = line
+    marker_line = split_selection(text)[1]
     if marker_line is None:
         return None
     tail = marker_line.split(SELECTION_MARKER, 1)[1]
@@ -133,17 +146,6 @@ def fallback_indices(num_candidates: int) -> list[int]:
     if num_candidates < 5:
         return [1]
     return [1, 2, 3, 4, 5]
-
-
-def _strip_marker_line(text: str) -> str:
-    lines = text.splitlines()
-    marker_at = None
-    for i, line in enumerate(lines):
-        if SELECTION_MARKER in line:
-            marker_at = i
-    if marker_at is None:
-        return text.strip()
-    return "\n".join(lines[:marker_at] + lines[marker_at + 1 :]).strip()
 
 
 @dataclass
@@ -193,7 +195,6 @@ def select(
     strategy: Strategy,
     backend,
     model: str,
-    temperature: float = 0.0,
     max_tokens: int | None = None,
     templates_dir: str | Path | None = None,
 ) -> SelectionOutcome:
@@ -203,16 +204,14 @@ def select(
     back to the leading candidates and set ``fallback_applied``.
     """
     prompt = render_prompt(strategy, question, candidate_texts, templates_dir)
-    text, usage = backend.chat(
-        user_request(model, prompt, temperature=temperature, max_tokens=max_tokens)
-    )
+    text, usage = backend.chat(user_request(model, prompt, max_tokens=max_tokens))
     num = len(candidate_texts)
     if strategy is Strategy.LISTWISE_RERANK:
         parsed = parse_ranking(text)
         reasoning = ""
     else:
         parsed = parse_selection(text)
-        reasoning = _strip_marker_line(text)
+        reasoning = split_selection(text)[0]
     fallback = False
     dropped = 0
     if parsed is None:

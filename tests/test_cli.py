@@ -9,6 +9,7 @@ import pytest
 from ragsel.cli import (
     ConfigError,
     build_backend,
+    build_parser,
     default_config,
     load_config,
     main,
@@ -34,6 +35,83 @@ from ragsel.selection import Strategy, render_prompt
 
 def test_default_config_validates():
     validate_config(default_config())
+
+
+def test_default_config_is_pinned():
+    # every default is read from the library; none of them may move
+    expected = {
+        "paths": {
+            "corpus": None,
+            "questions": None,
+            "output_dir": "out",
+            "index": None,
+            "embedding_cache": None,
+            "traces": None,
+            "report": None,
+            "distill_input": None,
+            "distill_output": None,
+            "distill_checkpoint": None,
+        },
+        "chunk_limit": 300,
+        "retriever": {"kind": "bm25", "k": 20, "k1": 1.2, "b": 0.75, "lowercase": True, "stopwords": []},
+        "strategy": "requirement_cot",
+        "prompt_style": "general",
+        "concurrency": 4,
+        "rerank_truncate": 5,
+        "selection_max_tokens": None,
+        "generation_max_tokens": 256,
+        "templates_dir": None,
+        **{
+            section: {
+                "kind": "transcript",
+                "model": model,
+                "transcript": None,
+                "record": False,
+                "endpoint": None,
+                "api_key_env": None,
+                "timeout": 60.0,
+                "max_attempts": 3,
+                "backoff_base": 1.0,
+            }
+            for section, model in [
+                ("selection_backend", "selector"),
+                ("generation_backend", "generator"),
+                ("embedding_backend", "embedder"),
+            ]
+        },
+        "metrics": {"hit_mode": "any", "precision_denominator": "k", "rank_k": 10, "pr_k": 5, "max_k": 10},
+        "distill": {
+            "teacher_model": None,
+            "expected_candidates": 20,
+            "strict_count": True,
+            "retries": 0,
+            "limit": None,
+            "variants": [],
+        },
+    }
+    assert default_config() == expected
+    # types too: 60 would equal 60.0 but print differently
+    assert json.dumps(default_config(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_parser_flags_per_command():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {
+        name: [opt for action in sub._actions for opt in action.option_strings if opt != "-h"]
+        for name, sub in commands.items()
+    }
+    common = ["--help", "--config", "--set", "--output-dir"]
+    assert flags == {
+        "config": common,
+        "index": common,
+        "retrieve": common + ["--k", "--retriever", "--query"],
+        "select": common + ["--question-id", "--strategy"],
+        "run": common + ["--strategy", "--prompt-style", "--k", "--retriever", "--concurrency"],
+        "eval": common + ["--traces", "--hit-mode"],
+        "report": common,
+        "distill": common + ["--limit"],
+    }
 
 
 def test_merge_config_nested():
@@ -411,6 +489,66 @@ def test_cli_select_single_question(tmp_path, capsys):
     assert result["outcome"]["indices"] == [2]
     assert main(["select", "--config", str(config_path), "--question-id", "zz"]) == 2
     assert "--question-id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{}\n", "not json\n"])
+def test_cli_malformed_transcript_is_an_input_error(tmp_path, capsys, content):
+    config_path = build_workspace(tmp_path)
+    (tmp_path / "chat.jsonl").write_text(content, encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "chat.jsonl: line 1" in err
+
+
+@pytest.mark.parametrize("damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n"])
+def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
+    config_path = build_workspace(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    traces_path = tmp_path / "out" / "traces.jsonl"
+    traces_path.write_bytes(damage(traces_path.read_bytes()))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "traces.jsonl: line 2" in err
+
+
+def test_cli_select_listwise_keeps_what_run_keeps(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    with open(corpus_path, "w", encoding="utf-8") as fh:
+        for i in range(1, 8):
+            text = "apple " * i + f"filler{i}"
+            fh.write(json.dumps({"id": f"p{i}", "doc_id": "d", "text": text}) + "\n")
+    (tmp_path / "questions.jsonl").write_text(
+        json.dumps({"id": "q1", "question": "apple", "answers": ["x"]}) + "\n", encoding="utf-8"
+    )
+    store = load_corpus(corpus_path)
+    candidates = Bm25Retriever(build_index(store)).retrieve("apple", 20).ids
+    assert len(candidates) == 7
+    transcript_path = tmp_path / "chat.jsonl"
+    sel_prompt = render_prompt(Strategy.LISTWISE_RERANK, "apple", [store.get(pid).text for pid in candidates])
+    kept = [candidates[i - 1] for i in (7, 6, 5, 4, 3)]
+    gen_prompt = render_answer_prompt(PromptStyle.GENERAL, "apple", [store.get(pid) for pid in kept])
+    for request, response in [
+        (user_request("selector", sel_prompt), "[7] > [6] > [5] > [4] > [3] > [2] > [1]"),
+        (user_request("generator", gen_prompt, max_tokens=256), "A: x"),
+    ]:
+        entry = {"fingerprint": request_fingerprint(request.model, request.messages), "response": response}
+        append_transcript_entry(transcript_path, {**entry, "prompt_tokens": 1, "completion_tokens": 1})
+    config = {
+        "paths": {"corpus": "corpus.jsonl", "questions": "questions.jsonl", "output_dir": "out"},
+        "strategy": "listwise_rerank",
+        "selection_backend": {"transcript": "chat.jsonl"},
+        "generation_backend": {"transcript": "chat.jsonl"},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["select", "--config", str(config_path), "--question-id", "q1"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["outcome"]["indices"] == [7, 6, 5, 4, 3, 2, 1]
+    assert result["selected_ids"] == kept
+    assert main(["run", "--config", str(config_path)]) == 0
+    trace = json.loads((tmp_path / "out" / "traces.jsonl").read_text(encoding="utf-8"))
+    assert trace["error"] is None and trace["selected_ids"] == kept
 
 
 def test_cli_config_error_exit_codes(tmp_path, capsys):

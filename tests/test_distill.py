@@ -255,6 +255,20 @@ def test_run_labeling_limit_then_resume(tmp_path):
     assert third.accepted == 0 and third.skipped == 10
 
 
+def test_run_labeling_writes_each_completion_before_a_crash(tmp_path):
+    # the teacher dies on q4 of 5: q1-q3 were paid for and must not be lost
+    teacher = ScriptedTeacher({"kw4 ": [RuntimeError("teacher died")]})
+    with pytest.raises(RuntimeError, match="teacher died"):
+        run(tmp_path, teacher, n=5, concurrency=1)
+    assert [r["query_id"] for r in read_records(tmp_path)] == ["q1", "q2", "q3"]
+    assert (tmp_path / "ck.txt").read_text(encoding="utf-8").split() == ["q1", "q2", "q3"]
+    resumed = ScriptedTeacher({})
+    stats = run(tmp_path, resumed, n=5, concurrency=1)
+    assert stats.accepted == 2 and stats.skipped == 3
+    assert [[i for i in range(1, 6) if f"kw{i} question" in c] for c in resumed.calls] == [[4], [5]]
+    assert [r["query_id"] for r in read_records(tmp_path)] == [f"q{i}" for i in range(1, 6)]
+
+
 def test_run_labeling_parse_reject_is_final(tmp_path):
     teacher = ScriptedTeacher({"kw4 ": ["I refuse to answer in the requested format."]})
     stats = run(tmp_path, teacher)

