@@ -23,12 +23,15 @@ from . import __version__
 from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, load_corpus, load_questions
 from .distill import DistillError, run_labeling
 from .gateway import (
+    ApiError,
     HttpChatBackend,
     HttpClient,
     HttpEmbedBackend,
     TranscriptChatBackend,
     TranscriptEmbedBackend,
     TranscriptError,
+    TranscriptMissError,
+    TransportError,
 )
 from .metrics import (
     HIT_MODES,
@@ -327,11 +330,16 @@ def _build_index(cfg: dict, store):
     return build_index(store, AnalyzerConfig.from_dict(r), k1=r["k1"], b=r["b"])
 
 
+def _index_path(cfg: dict) -> Path:
+    """Where `ragsel index` writes the BM25 index and the other commands read it."""
+    return Path(cfg["paths"].get("index") or Path(cfg["paths"]["output_dir"]) / "index.npz")
+
+
 def build_retriever(cfg: dict, store):
     r = cfg["retriever"]
     if r["kind"] == Bm25Retriever.name:
-        index_path = cfg["paths"].get("index")
-        if not (index_path and Path(index_path).exists()):
+        index_path = _index_path(cfg)
+        if not index_path.exists():
             return Bm25Retriever(_build_index(cfg, store))
         index = load_index(index_path)
         wanted = {"k1": r["k1"], "b": r["b"], **AnalyzerConfig.from_dict(r).to_dict()}
@@ -390,7 +398,8 @@ def cmd_config(cfg: dict, args) -> int:
 def cmd_index(cfg: dict, args) -> int:
     store = build_store(cfg)
     index = _build_index(cfg, store)
-    out = cfg["paths"].get("index") or _output_dir(cfg) / "index.npz"
+    out = _index_path(cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out)
     print(f"indexed {len(store)} passages ({len(index.terms)} terms) -> {out}")
     return 0
@@ -635,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, DistillError, MetricsError, PipelineError, RetrievalError, SelectionError,
-            TranscriptError, FileNotFoundError) as exc:
+            TranscriptError, TranscriptMissError, TransportError, ApiError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

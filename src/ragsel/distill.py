@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import fix_text, rewrite_bracket_ids
+from .corpus import _iter_jsonl, fix_text, rewrite_bracket_ids
 from .gateway import (
     ApiError,
     TranscriptMissError,
@@ -98,37 +98,28 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
     """
     queries: list[LabelQuery] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DistillError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DistillError(f"{path}:{lineno}: expected a JSON object")
-            qid = record.get("id")
-            question = fix_text(str(record.get("question", "")))
-            candidates = record.get("candidates")
-            if not isinstance(qid, str) or not qid:
-                raise DistillError(f"{path}:{lineno}: missing query id")
-            if qid in seen:
-                raise DistillError(f"{path}:{lineno}: duplicate query id: {qid!r}")
-            if not question:
-                raise DistillError(f"{path}:{lineno}: empty question for {qid!r}")
-            if not isinstance(candidates, list) or not candidates:
-                raise DistillError(f"{path}:{lineno}: no candidates for {qid!r}")
-            texts = []
-            for c in candidates:
-                if not isinstance(c, dict):
-                    raise DistillError(f"{path}:{lineno}: candidate is not an object for {qid!r}")
-                text = fix_text(rewrite_bracket_ids(str(c.get("text", ""))))
-                if not text:
-                    raise DistillError(f"{path}:{lineno}: empty candidate text for {qid!r}")
-                texts.append(text)
-            seen.add(qid)
-            queries.append(LabelQuery(id=qid, question=question, candidate_texts=tuple(texts)))
+    for lineno, record in _iter_jsonl(path, DistillError):
+        qid = record.get("id")
+        question = fix_text(str(record.get("question", "")))
+        candidates = record.get("candidates")
+        if not isinstance(qid, str) or not qid:
+            raise DistillError(f"{path}: line {lineno}: missing query id")
+        if qid in seen:
+            raise DistillError(f"{path}: line {lineno}: duplicate query id: {qid!r}")
+        if not question:
+            raise DistillError(f"{path}: line {lineno}: empty question for {qid!r}")
+        if not isinstance(candidates, list) or not candidates:
+            raise DistillError(f"{path}: line {lineno}: no candidates for {qid!r}")
+        texts = []
+        for c in candidates:
+            if not isinstance(c, dict):
+                raise DistillError(f"{path}: line {lineno}: candidate is not an object for {qid!r}")
+            text = fix_text(rewrite_bracket_ids(str(c.get("text", ""))))
+            if not text:
+                raise DistillError(f"{path}: line {lineno}: empty candidate text for {qid!r}")
+            texts.append(text)
+        seen.add(qid)
+        queries.append(LabelQuery(id=qid, question=question, candidate_texts=tuple(texts)))
     if not queries:
         raise DistillError(f"{path}: no label queries found")
     return queries
@@ -219,10 +210,10 @@ def _existing_output_ids(path: Path) -> set[str]:
     if not path.exists():
         return set()
     ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                ids.add(json.loads(line)["query_id"])
+    for lineno, record in _iter_jsonl(path, DistillError):
+        if not isinstance(record.get("query_id"), str):
+            raise DistillError(f"{path}: line {lineno}: missing string field 'query_id'")
+        ids.add(record["query_id"])
     return ids
 
 

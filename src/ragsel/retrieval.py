@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PassageStore
+from .corpus import PassageStore, _iter_jsonl
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -113,8 +113,22 @@ class Bm25Index:
     analyzer: AnalyzerConfig
 
     def __post_init__(self):
-        # argsort inverts the id-sorting permutation: each row's rank by id, for ties
-        self.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+        self.id_rank = _id_ranks(self.ids)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    # argsort inverts the id-sorting permutation: each row's rank by id, for ties
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+
+def _top_k(
+    ids: Sequence[str], id_rank: np.ndarray, scores: np.ndarray, rows: np.ndarray, k: int
+) -> list[Candidate]:
+    """The k best ``rows`` by descending score, ties by ascending id."""
+    if len(rows) > k:  # keep every row tied at the k-th score
+        rows = rows[scores[rows] >= np.partition(scores[rows], -k)[-k]]
+    order = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]].tolist()
+    return [Candidate(ids[row], s) for row, s in zip(order, scores[order].tolist())]
 
 
 def _csr_slices(terms: Sequence[str], offsets: np.ndarray) -> dict[str, slice]:
@@ -172,11 +186,7 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
             rows = index.rows[span]
             scores[rows] += index.impacts[span]
             touched[rows] = True
-    hits = np.flatnonzero(touched)
-    if len(hits) > k:  # keep every passage tied at the k-th score
-        hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
-    order = hits[np.lexsort((index.id_rank[hits], -scores[hits]))[:k]].tolist()
-    items = [Candidate(index.ids[row], s) for row, s in zip(order, scores[order].tolist())]
+    items = _top_k(index.ids, index.id_rank, scores, np.flatnonzero(touched), k)
     return CandidateList(query_id=query_id, retriever="bm25", items=items)
 
 
@@ -194,7 +204,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 def load_index(path: str | Path) -> Bm25Index:
     """Read a save_index file; any other file raises RetrievalError."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             header = json.loads(npz["header"].tobytes())
             rows, impacts, offsets = npz["rows"], npz["impacts"], npz["offsets"]
         ids, terms = header["ids"], header["terms"]
@@ -256,14 +266,20 @@ class EmbeddingCache:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            cache = cls(model=header["model"], dim=int(header["dim"]))
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                cache.put(record["id"], record["vector"])
+        """Read a save file; a malformed line raises RetrievalError naming it."""
+        cache = None
+        for lineno, record in _iter_jsonl(path, RetrievalError):
+            try:
+                if cache is None:
+                    cache = cls(model=record["model"], dim=int(record["dim"]))
+                elif isinstance(record.get("id"), str) and isinstance(record.get("vector"), list):
+                    cache.put(record["id"], record["vector"])
+                else:
+                    raise ValueError("expected a string 'id' and a list 'vector'")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RetrievalError(f"{path}: line {lineno}: not an embedding cache line: {exc}") from None
+        if cache is None:
+            raise RetrievalError(f"{path}: empty embedding cache")
         return cache
 
 
@@ -302,65 +318,39 @@ def precompute_embeddings(
     return cache
 
 
-def cosine_similarities(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Row-wise cosine similarity; zero-norm rows (or query) score 0.0."""
-    norms = np.linalg.norm(matrix, axis=1)
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        return np.zeros(matrix.shape[0])
-    sims = matrix @ query
-    out = np.zeros(matrix.shape[0])
-    nonzero = norms > 0.0
-    out[nonzero] = sims[nonzero] / (norms[nonzero] * qnorm)
-    return out
-
-
-def dense_search(
-    backend,
-    store: PassageStore,
-    query: str,
-    k: int,
-    cache: EmbeddingCache,
-    query_id: str = "",
-) -> CandidateList:
-    """Rank all cached passages by cosine similarity to the embedded query."""
-    if k <= 0:
-        raise RetrievalError(f"k must be positive, got {k}")
-    if cache.model != backend.model:
-        raise RetrievalError(
-            f"embedding cache was built with model {cache.model!r},"
-            f" backend uses {backend.model!r}"
-        )
-    ids = [p.id for p in store]
-    missing = [pid for pid in ids if pid not in cache.vectors]
-    if missing:
-        raise RetrievalError(f"embedding cache is missing {len(missing)} passages (e.g. {missing[0]!r})")
-    matrix = np.stack([cache.vectors[pid] for pid in ids])
-    query_vec = np.asarray(backend.embed([query])[0], dtype=np.float64)
-    if query_vec.shape != (cache.dim,):
-        raise RetrievalError(
-            f"query embedding dimension {query_vec.shape[0]} does not match cache ({cache.dim})"
-        )
-    sims = cosine_similarities(matrix, query_vec)
-    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
-    items = [Candidate(ids[i], float(sims[i])) for i in order[:k]]
-    return CandidateList(query_id=query_id, retriever="dense", items=items)
-
-
 class DenseRetriever:
+    """Cosine search over the cached passage vectors, stacked once in store order.
+
+    The constructor embeds every passage missing from the cache at
+    ``cache_path``; a zero vector on either side scores 0.0.
+    """
+
     name = "dense"
 
     def __init__(self, backend, store: PassageStore, cache_path: str | Path):
+        if len(store) == 0:
+            raise RetrievalError("cannot build a dense retriever over an empty corpus")
         self.backend = backend
-        self.store = store
-        self.cache_path = Path(cache_path)
-        self._cache: EmbeddingCache | None = None
+        self._cache = precompute_embeddings(backend, store, cache_path)
+        self.ids = store.ids
+        self.matrix = np.stack([self._cache.vectors[pid] for pid in self.ids])
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+        self.id_rank = _id_ranks(self.ids)
 
     def _ensure_cache(self) -> EmbeddingCache:
-        if self._cache is None:
-            self._cache = precompute_embeddings(self.backend, self.store, self.cache_path)
         return self._cache
 
     def retrieve(self, query: str, k: int, query_id: str = "") -> CandidateList:
-        cache = self._ensure_cache()
-        return dense_search(self.backend, self.store, query, k, cache, query_id=query_id)
+        if k <= 0:
+            raise RetrievalError(f"k must be positive, got {k}")
+        query_vec = np.asarray(self.backend.embed([query])[0], dtype=np.float64)
+        if query_vec.shape != (self._cache.dim,):
+            raise RetrievalError(
+                f"query embedding dimension {query_vec.shape[0]} does not match cache ({self._cache.dim})"
+            )
+        qnorm = float(np.linalg.norm(query_vec))
+        sims = np.zeros(len(self.ids))
+        if qnorm != 0.0:
+            np.divide(self.matrix @ query_vec, self.norms * qnorm, out=sims, where=self.norms > 0.0)
+        items = _top_k(self.ids, self.id_rank, sims, np.arange(len(self.ids)), k)
+        return CandidateList(query_id=query_id, retriever="dense", items=items)

@@ -480,6 +480,15 @@ def test_cli_saved_index_must_match_config_and_corpus(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: paths.index")
 
 
+def test_cli_commands_read_the_default_index(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    assert main(["index", "--config", str(config_path)]) == 0
+    (tmp_path / "out" / "index.npz").write_bytes(b"not an index")
+    capsys.readouterr()
+    assert main(["retrieve", "--config", str(config_path), "--query", "apple"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'out' / 'index.npz'}: not a BM25 index file\n"
+
+
 def test_cli_select_single_question(tmp_path, capsys):
     config_path = build_workspace(tmp_path)
     assert main(["select", "--config", str(config_path), "--question-id", "q1"]) == 0
@@ -498,6 +507,23 @@ def test_cli_malformed_transcript_is_an_input_error(tmp_path, capsys, content):
     assert main(["run", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "chat.jsonl: line 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--question-id", "q1", "--strategy", "listwise_rerank"],
+        ["retrieve", "--retriever", "dense", "--query", "apple"],
+    ],
+    ids=["select", "retrieve"],
+)
+def test_cli_backend_errors_are_input_errors(tmp_path, capsys, argv):
+    # neither the listwise prompt nor any embedding request is in the transcript
+    config_path = build_workspace(tmp_path)
+    dense = ["--set", f"paths.embedding_cache={tmp_path / 'emb.jsonl'}",
+             "--set", f"embedding_backend.transcript={tmp_path / 'chat.jsonl'}"]
+    assert main([*argv, "--config", str(config_path), *dense]) == 2
+    assert capsys.readouterr().err.startswith("error: no transcript entry for request fingerprint")
 
 
 @pytest.mark.parametrize("damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n"])

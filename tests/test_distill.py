@@ -101,14 +101,14 @@ def test_load_label_queries_validation(tmp_path, record, fragment):
     with pytest.raises(DistillError) as excinfo:
         load_label_queries(path)
     assert fragment in str(excinfo.value)
-    assert ":1:" in str(excinfo.value)
+    assert ": line 1:" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
     "line,fragment",
     [
-        ('["q1", "q", []]', "expected a JSON object"),
-        ('"q1"', "expected a JSON object"),
+        ('["q1", "q", []]', "expected an object"),
+        ('"q1"', "expected an object"),
         ('{"id": "q1", "question": "q", "candidates": ["text"]}', "candidate is not an object"),
         ('{"id": "q1", "question": "q", "candidates": [{"text": "t"}, null]}', "candidate is not an object"),
     ],
@@ -120,7 +120,7 @@ def test_load_label_queries_rejects_non_objects(tmp_path, line, fragment):
     path.write_text(good + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DistillError) as excinfo:
         load_label_queries(path)
-    assert fragment in str(excinfo.value) and ":2:" in str(excinfo.value)
+    assert fragment in str(excinfo.value) and ": line 2:" in str(excinfo.value)
 
 
 def test_load_label_queries_duplicate_id(tmp_path):
@@ -129,7 +129,7 @@ def test_load_label_queries_duplicate_id(tmp_path):
     path.write_text(line + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DistillError) as excinfo:
         load_label_queries(path)
-    assert "duplicate query id" in str(excinfo.value) and ":2:" in str(excinfo.value)
+    assert "duplicate query id" in str(excinfo.value) and ": line 2:" in str(excinfo.value)
 
 
 # --- single-query labeling ------------------------------------------------------
@@ -267,6 +267,22 @@ def test_run_labeling_writes_each_completion_before_a_crash(tmp_path):
     assert stats.accepted == 2 and stats.skipped == 3
     assert [[i for i in range(1, 6) if f"kw{i} question" in c] for c in resumed.calls] == [[4], [5]]
     assert [r["query_id"] for r in read_records(tmp_path)] == [f"q{i}" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        (lambda text: text[:-20], "line 3: invalid JSON"),  # an interrupted write cuts the last line
+        (lambda text: text + '{"messages": []}\n', "line 4: missing string field 'query_id'"),
+    ],
+    ids=["truncated-line", "no-query-id"],
+)
+def test_run_labeling_resume_rejects_malformed_records(tmp_path, damage, fragment):
+    run(tmp_path, ScriptedTeacher({}), limit=3)
+    out = tmp_path / "out.jsonl"
+    out.write_text(damage(out.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DistillError, match=f"out.jsonl: {fragment}"):
+        run(tmp_path, ScriptedTeacher({}))
 
 
 def test_run_labeling_parse_reject_is_final(tmp_path):

@@ -4,6 +4,7 @@ import random
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from ragsel.retrieval import (
     AnalyzerConfig,
     Candidate,
     CandidateList,
+    DenseRetriever,
     EmbeddingCache,
     RetrievalError,
     analyze,
     build_index,
-    cosine_similarities,
-    dense_search,
     load_index,
     precompute_embeddings,
     save_index,
@@ -436,8 +436,7 @@ def _dense_fixture():
 
 def test_dense_search_hand_computed_order(tmp_path):
     store, backend = _dense_fixture()
-    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
-    result = dense_search(backend, store, "query", k=3, cache=cache, query_id="q")
+    result = DenseRetriever(backend, store, tmp_path / "emb.jsonl").retrieve("query", k=3, query_id="q")
     # cos(p1)=1, cos(p3)=1/sqrt(2), cos(p2)=0 by hand.
     assert result.ids == ["p1", "p3", "p2"]
     assert result.items[0].score == pytest.approx(1.0, abs=1e-12)
@@ -455,16 +454,70 @@ def test_dense_search_tie_breaks_by_id(tmp_path):
     )
     table = {"alpha": [1.0, 0.0], "alpha2": [1.0, 0.0], "query": [1.0, 0.0]}
     backend = FakeEmbedBackend("emb-1", table, dim=2)
-    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
-    assert dense_search(backend, store, "query", k=2, cache=cache).ids == ["pa", "pz"]
+    assert DenseRetriever(backend, store, tmp_path / "emb.jsonl").retrieve("query", k=2).ids == ["pa", "pz"]
 
 
-def test_dense_zero_norm_vector_scores_zero():
-    import numpy as np
+def test_dense_zero_norm_vector_scores_zero(tmp_path):
+    store = PassageStore(
+        [
+            Passage(id="p1", doc_id="d", text="zero"),
+            Passage(id="p2", doc_id="d", text="unit"),
+        ]
+    )
+    table = {"zero": [0.0, 0.0], "unit": [1.0, 0.0], "query": [1.0, 0.0], "null": [0.0, 0.0]}
+    retriever = DenseRetriever(FakeEmbedBackend("emb-1", table, dim=2), store, tmp_path / "emb.jsonl")
+    assert [(c.passage_id, c.score) for c in retriever.retrieve("query", k=2).items] == [("p2", 1.0), ("p1", 0.0)]
+    assert [(c.passage_id, c.score) for c in retriever.retrieve("null", k=2).items] == [("p1", 0.0), ("p2", 0.0)]
 
-    sims = cosine_similarities(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-    assert sims[0] == 0.0
-    assert sims[1] == 1.0
+
+def test_dense_empty_store_errors(tmp_path):
+    with pytest.raises(RetrievalError, match="empty corpus"):
+        DenseRetriever(FakeEmbedBackend("emb-1", {}), PassageStore([]), tmp_path / "emb.jsonl")
+
+
+def loop_dense(vectors, query, k):
+    """Per-passage cosine in the retriever's operation order, then a full sort.
+
+    The reference for DenseRetriever: same ids and the same float scores.
+    Vectors hold small integers, so every dot product and squared norm is
+    exact whatever order the terms are summed in.
+    """
+    qnorm = math.sqrt(sum(x * x for x in query))
+    scores = {}
+    for pid, vec in vectors.items():
+        norm = math.sqrt(sum(x * x for x in vec))
+        dot = sum(x * y for x, y in zip(vec, query))
+        scores[pid] = 0.0 if norm == 0.0 or qnorm == 0.0 else dot / (norm * qnorm)
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def test_dense_equals_loop_reference(tmp_path):
+    rng = random.Random(43)
+    ties_at_k = zero_vectors = 0
+    for trial in range(60):
+        dim = rng.randrange(1, 6)
+        vectors = {}
+        for pid in rng.sample(range(10_000), rng.randrange(1, 40)):  # store order unlike id order
+            if vectors and rng.random() < 0.3:
+                vec = rng.choice(list(vectors.values()))  # duplicate vector: tied scores
+            else:
+                vec = [float(rng.randrange(-2, 3)) for _ in range(dim)]
+            zero_vectors += not any(vec)
+            vectors[f"p{pid}"] = vec
+        store = PassageStore([Passage(id=pid, doc_id="d", text=pid) for pid in vectors])
+        table = dict(vectors)
+        queries = [[float(rng.randrange(-2, 3)) for _ in range(dim)] for _ in range(6)] + [[0.0] * dim]
+        table.update((f"query{n}", q) for n, q in enumerate(queries))
+        retriever = DenseRetriever(FakeEmbedBackend("emb-1", table, dim), store, tmp_path / f"emb{trial}.jsonl")
+        n = len(vectors)
+        for q, query in enumerate(queries):
+            every = loop_dense(vectors, query, n)
+            for k in (1, max(1, n // 2), n + 3):
+                want = [(pid, score.hex()) for pid, score in every[:k]]
+                got = retriever.retrieve(f"query{q}", k).items
+                assert [(c.passage_id, c.score.hex()) for c in got] == want, (trial, q, k)
+                ties_at_k += k < n and every[k - 1][1] == every[k][1]
+    assert ties_at_k >= 50 and zero_vectors >= 20
 
 
 def test_embedding_cache_roundtrip(tmp_path):
@@ -499,14 +552,6 @@ def test_precompute_invalidates_on_model_change(tmp_path):
     assert EmbeddingCache.load(path).model == "emb-2"
 
 
-def test_dense_search_model_mismatch_errors(tmp_path):
-    store, backend = _dense_fixture()
-    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
-    other = FakeEmbedBackend("emb-2", backend.table)
-    with pytest.raises(RetrievalError, match="model"):
-        dense_search(other, store, "query", k=2, cache=cache)
-
-
 def test_cache_dimension_mismatch_errors():
     cache = EmbeddingCache(model="m", dim=4)
     with pytest.raises(RetrievalError, match="dimension"):
@@ -539,3 +584,61 @@ def test_precompute_threads_stay_within_parallelism(tmp_path):
     assert backend.batches == 12
     assert backend.peak - before <= 2
     assert [list(cache.vectors[p.id]) for p in store] == [[float(i + 1), 1.0] for i in range(12)]
+
+
+class RecordingEmbedBackend:
+    """Counts every text it embeds; slow enough that concurrent callers overlap."""
+
+    model = "emb-1"
+
+    def __init__(self):
+        self.texts = Counter()
+        self._lock = threading.Lock()
+
+    def embed(self, texts):
+        time.sleep(0.01)
+        with self._lock:
+            self.texts.update(texts)
+        return [[float(len(t)), 1.0] for t in texts]
+
+
+def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=f"passage {i}") for i in range(64)])
+    backend = RecordingEmbedBackend()
+    path = tmp_path / "emb.jsonl"
+    retriever = DenseRetriever(backend, store, path)
+    start = threading.Barrier(4)
+
+    def first_query(n):
+        start.wait()
+        return retriever.retrieve(f"query {n}", k=3)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert all(len(c) == 3 for c in pool.map(first_query, range(4)))
+    assert backend.texts == Counter([p.text for p in store] + [f"query {n}" for n in range(4)])
+    assert sorted(EmbeddingCache.load(path).vectors) == sorted(store.ids)
+
+
+BAD_ENTRY = "line 5: not an embedding cache line: expected a string 'id' and a list 'vector'"
+
+
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        (lambda text: text[:-10], "line 4: invalid JSON"),  # an interrupted write cuts the last line
+        (lambda text: text + '{"id": "p4"}\n', BAD_ENTRY),
+        (lambda text: text + '{"vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
+        (lambda text: text + '{"id": "p4", "vector": null}\n', BAD_ENTRY),
+        (lambda text: text + '{"id": 4, "vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
+        (lambda text: '{"model": "emb-1"}\n', "line 1: not an embedding cache line: 'dim'"),
+        (lambda text: "", "empty embedding cache"),
+    ],
+    ids=["truncated-line", "no-vector", "no-id", "null-vector", "number-id", "header-without-dim", "empty"],
+)
+def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
+    store, backend = _dense_fixture()
+    path = tmp_path / "emb.jsonl"
+    precompute_embeddings(backend, store, path)
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
+        EmbeddingCache.load(path)
