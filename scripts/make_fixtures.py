@@ -29,7 +29,8 @@ from pathlib import Path
 
 from ragsel.cli import main as cli_main
 from ragsel.corpus import load_corpus, load_questions
-from ragsel.gateway import Usage, append_transcript_entry, request_fingerprint, user_request
+from ragsel.files import write_jsonl
+from ragsel.gateway import Usage, request_fingerprint, user_request
 from ragsel.pipeline import PromptStyle, render_answer_prompt
 from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index
 from ragsel.selection import Strategy, render_prompt, select
@@ -138,7 +139,7 @@ def write_benchmark_fixtures() -> None:
     store = load_corpus(corpus_path)
     retriever = Bm25Retriever(build_index(store, AnalyzerConfig()))
     questions = load_questions(questions_path)
-    transcript_path.unlink(missing_ok=True)
+    entries = []
     for i, question in enumerate(questions, start=1):
         ii = f"{i:02d}"
         cls = CLASS_OF[i % 5]
@@ -152,8 +153,7 @@ def write_benchmark_fixtures() -> None:
         usage = Usage(SELECTION_PROMPT_TOKENS, SELECTION_COMPLETION_TOKENS[cls])
         prompt = render_prompt(Strategy.REQUIREMENT_COT, question.question, texts)
         request = user_request("selector", prompt)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(request.model, request.messages),
                 "response": completion,
@@ -175,8 +175,7 @@ def write_benchmark_fixtures() -> None:
             PromptStyle.GENERAL, question.question, [store.get(pid) for pid in selected]
         )
         gen_request = user_request("generator", answer_prompt, max_tokens=256)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(gen_request.model, gen_request.messages),
                 "response": generation_completion(cls, ii),
@@ -184,6 +183,7 @@ def write_benchmark_fixtures() -> None:
                 "completion_tokens": GENERATION_USAGE.completion_tokens,
             },
         )
+    write_jsonl(transcript_path, entries)
     print(f"wrote {corpus_path}")
     print(f"wrote {questions_path}")
     print(f"wrote {transcript_path}")
@@ -228,15 +228,14 @@ def write_distill_fixtures() -> None:
                 ],
             }
             fh.write(json.dumps(row) + "\n")
-    transcript_path.unlink(missing_ok=True)
+    entries = []
     for i in range(1, N_DISTILL + 1):
         ii = f"{i:02d}"
         prompt = render_prompt(
             Strategy.REQUIREMENT_COT, distill_question(ii), distill_candidate_texts(ii)
         )
         request = user_request("teacher", prompt)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(request.model, request.messages),
                 "response": teacher_completion(ii),
@@ -244,6 +243,7 @@ def write_distill_fixtures() -> None:
                 "completion_tokens": TEACHER_USAGE.completion_tokens,
             },
         )
+    write_jsonl(transcript_path, entries)
     print(f"wrote {input_path}")
     print(f"wrote {transcript_path}")
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, load_corpus, load_questions
 from .distill import DistillError, run_labeling
+from .files import write_jsonl
 from .gateway import (
     ApiError,
     HttpChatBackend,
@@ -289,12 +290,16 @@ def validate_config(cfg: dict) -> None:
     )
 
 
-def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
-    value = cfg["paths"].get(key)
+def _artifact_path(cfg: dict, key: str, name: str | None = None) -> Path:
+    """`paths.<key>`, else `<output_dir>/<name>`: one place for an artifact's writer and readers."""
+    value = cfg["paths"].get(key) or (name and Path(cfg["paths"]["output_dir"]) / name)
     _expect(bool(value), f"paths.{key}", "must be set")
-    path = Path(value)
-    if must_exist:
-        _expect(path.exists(), f"paths.{key}", f"no such file: {path}")
+    return Path(value)
+
+
+def _require_path(cfg: dict, key: str, name: str | None = None) -> Path:
+    path = _artifact_path(cfg, key, name)
+    _expect(path.exists(), f"paths.{key}", f"no such file: {path}")
     return path
 
 
@@ -330,15 +335,10 @@ def _build_index(cfg: dict, store):
     return build_index(store, AnalyzerConfig.from_dict(r), k1=r["k1"], b=r["b"])
 
 
-def _index_path(cfg: dict) -> Path:
-    """Where `ragsel index` writes the BM25 index and the other commands read it."""
-    return Path(cfg["paths"].get("index") or Path(cfg["paths"]["output_dir"]) / "index.npz")
-
-
 def build_retriever(cfg: dict, store):
     r = cfg["retriever"]
     if r["kind"] == Bm25Retriever.name:
-        index_path = _index_path(cfg)
+        index_path = _artifact_path(cfg, "index", "index.npz")
         if not index_path.exists():
             return Bm25Retriever(_build_index(cfg, store))
         index = load_index(index_path)
@@ -381,12 +381,6 @@ def metrics_config(cfg: dict) -> MetricsConfig:
     return MetricsConfig(**cfg["metrics"])
 
 
-def _output_dir(cfg: dict) -> Path:
-    out = Path(cfg["paths"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # --- commands ----------------------------------------------------------------
 
 
@@ -398,8 +392,7 @@ def cmd_config(cfg: dict, args) -> int:
 def cmd_index(cfg: dict, args) -> int:
     store = build_store(cfg)
     index = _build_index(cfg, store)
-    out = _index_path(cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _artifact_path(cfg, "index", "index.npz")
     save_index(index, out)
     print(f"indexed {len(store)} passages ({len(index.terms)} terms) -> {out}")
     return 0
@@ -414,11 +407,8 @@ def cmd_retrieve(cfg: dict, args) -> int:
         print(json.dumps(candidates.to_dict(), ensure_ascii=False, indent=2))
         return 0
     questions = load_questions(_require_path(cfg, "questions"))
-    out = _output_dir(cfg) / "candidates.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        for q in questions:
-            candidates = retriever.retrieve(q.question, k, query_id=q.id)
-            fh.write(json.dumps(candidates.to_dict(), ensure_ascii=False) + "\n")
+    out = Path(cfg["paths"]["output_dir"]) / "candidates.jsonl"
+    write_jsonl(out, (retriever.retrieve(q.question, k, query_id=q.id).to_dict() for q in questions))
     print(f"retrieved top-{k} candidates for {len(questions)} queries -> {out}")
     return 0
 
@@ -462,9 +452,8 @@ def cmd_run(cfg: dict, args) -> int:
         pipeline_config(cfg),
         effective_config=cfg,
     )
-    out = _output_dir(cfg)
-    traces_path = out / "traces.jsonl"
-    manifest_path = out / "manifest.json"
+    traces_path = _artifact_path(cfg, "traces", "traces.jsonl")
+    manifest_path = Path(cfg["paths"]["output_dir"]) / "manifest.json"
     write_traces(traces_path, traces)
     write_manifest(manifest_path, manifest)
     print(
@@ -482,15 +471,13 @@ def cmd_run(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    traces_path = cfg["paths"].get("traces") or Path(cfg["paths"]["output_dir"]) / "traces.jsonl"
-    _expect(Path(traces_path).exists(), "paths.traces", f"no such file: {traces_path}")
+    traces_path = _require_path(cfg, "traces", "traces.jsonl")
     store = build_store(cfg)
     traces = read_traces(traces_path)
     report = evaluate_traces(traces, store, metrics_config(cfg))
-    out = _output_dir(cfg)
-    report_path = out / "report.json"
+    report_path = _artifact_path(cfg, "report", "report.json")
     report.save(report_path)
-    plot_files = write_plot_data(report, out / "plots")
+    plot_files = write_plot_data(report, Path(cfg["paths"]["output_dir"]) / "plots")
     counts = report.counts
     print(
         f"evaluated {counts['queries']} traces "
@@ -509,8 +496,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_report(cfg: dict, args) -> int:
-    report_path = cfg["paths"].get("report") or Path(cfg["paths"]["output_dir"]) / "report.json"
-    _expect(Path(report_path).exists(), "paths.report", f"no such file: {report_path}")
+    report_path = _require_path(cfg, "report", "report.json")
     report = MetricReport.load(report_path)
     print(f"{'metric':<16}{'mean':>12}{'count':>8}")
     for name, entry in report.aggregate.items():
@@ -529,11 +515,8 @@ def cmd_report(cfg: dict, args) -> int:
 
 def cmd_distill(cfg: dict, args) -> int:
     input_path = _require_path(cfg, "distill_input")
-    out_dir = _output_dir(cfg)
-    output_path = cfg["paths"].get("distill_output") or out_dir / "distill.jsonl"
-    checkpoint_path = (
-        cfg["paths"].get("distill_checkpoint") or Path(str(output_path) + ".checkpoint")
-    )
+    output_path = _artifact_path(cfg, "distill_output", "distill.jsonl")
+    checkpoint_path = cfg["paths"].get("distill_checkpoint") or f"{output_path}.checkpoint"
     backend = build_backend(cfg, "selection_backend")
     d = cfg["distill"]
     model = d["teacher_model"] or cfg["selection_backend"]["model"]

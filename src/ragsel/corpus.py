@@ -7,12 +7,13 @@ ids rewritten so that prompt-side ``[i]`` markers stay unambiguous.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .files import iter_jsonl
 
 # Controls except newline/tab; tab is handled by the whitespace collapse.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
@@ -144,22 +145,6 @@ class PassageStore:
             raise CorpusError(f"unknown passage id: {passage_id!r}") from None
 
 
-def _iter_jsonl(path: str | Path, error: type[Exception] = CorpusError) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; a line that is not a
-    JSON object raises ``error`` naming the path and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise error(f"{path}: line {lineno}: expected an object")
-            yield lineno, record
-
-
 def _require_str(record: dict, key: str, path: str | Path, lineno: int) -> str:
     value = record.get(key)
     if not isinstance(value, str) or not value:
@@ -177,7 +162,7 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
     """
     passages: list[Passage] = []
     seen: dict[str, int] = {}
-    for lineno, record in _iter_jsonl(path):
+    for lineno, record in iter_jsonl(path, CorpusError):
         pid = _require_str(record, "id", path, lineno)
         doc_id = _require_str(record, "doc_id", path, lineno)
         raw_text = _require_str(record, "text", path, lineno)
@@ -221,7 +206,7 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
     """
     questions: list[QuestionRecord] = []
     seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
+    for lineno, record in iter_jsonl(path, CorpusError):
         qid = _require_str(record, "id", path, lineno)
         if qid in seen:
             raise CorpusError(f"{path}: line {lineno}: duplicate question id: {qid!r}")

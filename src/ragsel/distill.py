@@ -10,14 +10,14 @@ the next run.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import _iter_jsonl, fix_text, rewrite_bracket_ids
+from .corpus import fix_text, rewrite_bracket_ids
+from .files import appending, cut_lines, iter_jsonl
 from .gateway import (
     ApiError,
     TranscriptMissError,
@@ -98,7 +98,7 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
     """
     queries: list[LabelQuery] = []
     seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path, DistillError):
+    for lineno, record in iter_jsonl(path, DistillError):
         qid = record.get("id")
         question = fix_text(str(record.get("question", "")))
         candidates = record.get("candidates")
@@ -206,22 +206,21 @@ def derive_variant_record(
     )
 
 
-def _existing_output_ids(path: Path) -> set[str]:
-    if not path.exists():
-        return set()
-    ids = set()
-    for lineno, record in _iter_jsonl(path, DistillError):
+def _existing_output_ids(path: Path, committed: set[str]) -> set[str]:
+    """The records file's query ids. Its trailing group (the lines of its last id) is
+    cut unless ``committed`` has that id: a kill came before its checkpoint append."""
+    ids: set[str] = set()
+    last, first = None, 0
+    for lineno, record in iter_jsonl(path, DistillError):
         if not isinstance(record.get("query_id"), str):
             raise DistillError(f"{path}: line {lineno}: missing string field 'query_id'")
-        ids.add(record["query_id"])
+        if record["query_id"] != last:
+            last, first = record["query_id"], lineno
+        ids.add(last)
+    if last is not None and last not in committed:
+        cut_lines(path, first - 1)
+        ids.discard(last)
     return ids
-
-
-def _checkpoint_ids(path: Path) -> set[str]:
-    if not path.exists():
-        return set()
-    with open(path, "r", encoding="utf-8") as fh:
-        return {line.strip() for line in fh if line.strip()}
 
 
 def run_labeling(
@@ -251,87 +250,59 @@ def run_labeling(
     checkpoint_path = Path(checkpoint_path)
     rejects_path = output_path.with_name(output_path.name + ".rejects.jsonl")
     queries = load_label_queries(input_path)
-    done = _checkpoint_ids(checkpoint_path) | _existing_output_ids(output_path)
-    pending = [q for q in queries if q.id not in done]
-    stats = LabelingStats(skipped=len(queries) - len(pending))
-    if limit is not None:
-        pending = pending[: max(0, limit)]
-    if not pending:
-        return stats
 
     def ask(query: LabelQuery):
-        """Chat with parse-aware retries; returns (result, error, usage)."""
+        """Chat with parse-aware retries; returns (record, reject, usage)."""
         usage = ZERO_USAGE
-        last_exc: Exception | None = None
         for _ in range(1 + max(0, retries)):
             try:
-                result = label_query(
-                    backend,
-                    model,
-                    query.question,
-                    query.candidate_texts,
-                    expected_candidates,
-                    strict_count,
-                    templates_dir,
-                )
+                result = label_query(backend, model, query.question, query.candidate_texts,
+                                     expected_candidates, strict_count, templates_dir)
             except DistillError as exc:
                 return None, ("candidate-count", str(exc)), usage
             except (TransportError, ApiError, TranscriptMissError) as exc:
                 return None, ("transport", str(exc)), usage
             usage = merge_usage(usage, result.usage)
-            if parse_selection(result.completion) is not None:
-                return result, None, usage
-            last_exc = DistillError("no-marker")
-        return result, ("no-marker", str(last_exc)), usage
+            try:
+                record = build_record(result.prompt, result.completion, query.id, model, len(query.candidate_texts))
+            except DistillError as exc:
+                if str(exc) != "no-marker":
+                    return None, (str(exc), result.completion[:200]), usage
+            else:
+                return record, None, usage
+        return None, ("no-marker", result.completion[:200]), usage
 
     # each outcome is written and checkpointed as soon as it comes back, in
     # input order, so an interrupt loses no completion already consumed
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool, open(
-        output_path, "a", encoding="utf-8"
-    ) as out_fh, open(rejects_path, "a", encoding="utf-8") as rej_fh, open(
-        checkpoint_path, "a", encoding="utf-8"
-    ) as ck_fh:
-        for query, (result, error, usage) in zip(pending, pool.map(ask, pending)):
+    with (
+        appending(output_path) as append_records,
+        appending(rejects_path) as append_reject,
+        appending(checkpoint_path) as commit,
+        ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool,
+    ):
+        done = {line.strip() for line in checkpoint_path.read_text(encoding="utf-8").split("\n")} - {""}
+        done |= _existing_output_ids(output_path, done)
+        pending = [q for q in queries if q.id not in done]
+        stats = LabelingStats(skipped=len(queries) - len(pending))
+        if limit is not None:
+            pending = pending[: max(0, limit)]
+        for query, (record, reject, usage) in zip(pending, pool.map(ask, pending)):
             stats.teacher_usage = merge_usage(stats.teacher_usage, usage)
-            reason = detail = None
-            if error is not None and error[0] != "no-marker":
-                reason, detail = error
-            else:
-                try:
-                    record = build_record(
-                        result.prompt,
-                        result.completion,
-                        query.id,
-                        model,
-                        len(query.candidate_texts),
-                    )
-                except DistillError as exc:
-                    reason, detail = str(exc), result.completion[:200]
-            if reason is not None:
+            if reject is not None:
+                reason, detail = reject
                 stats.rejected += 1
                 stats.reject_reasons[reason] += 1
-                rej_fh.write(
-                    json.dumps(
-                        {"query_id": query.id, "reason": reason, "detail": detail},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-                rej_fh.flush()
+                append_reject({"query_id": query.id, "reason": reason, "detail": detail})
                 # only rejects that consumed a teacher completion are final;
                 # transport and precondition failures retry on the next run
                 if reason not in ("transport", "candidate-count"):
-                    ck_fh.write(query.id + "\n")
-                    ck_fh.flush()
+                    commit(query.id)
                 continue
-            out_fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-            for variant in variants:
-                derived = derive_variant_record(
-                    record, variant, query.question, query.candidate_texts, templates_dir
-                )
-                out_fh.write(json.dumps(derived.to_dict(), ensure_ascii=False) + "\n")
-            out_fh.flush()
-            ck_fh.write(query.id + "\n")
-            ck_fh.flush()
+            derived = [
+                derive_variant_record(record, v, query.question, query.candidate_texts, templates_dir)
+                for v in variants
+            ]
+            append_records(*(r.to_dict() for r in [record, *derived]))
+            commit(query.id)
             stats.accepted += 1
     return stats

@@ -9,7 +9,6 @@ always replay identical responses.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import threading
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import requests
 
-from .corpus import _iter_jsonl
+from .files import appending, iter_jsonl
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -264,11 +263,6 @@ def _check_uniform(vectors: list[list[float]]) -> list[list[float]]:
     return vectors
 
 
-def append_transcript_entry(path: str | Path, entry: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-
 class TranscriptStore:
     """Transcript entries keyed by request fingerprint.
 
@@ -282,11 +276,12 @@ class TranscriptStore:
         self.record_from = record_from
         self._entries: dict[str, dict] = {}
         self._lock = threading.Lock()
-        if not self.path.exists():
-            if record_from is None:
-                raise FileNotFoundError(f"transcript file not found: {self.path}")
-            return
-        for lineno, record in _iter_jsonl(self.path, TranscriptError):
+        if record_from is not None:
+            with appending(self.path):  # mends a torn last line before it is read
+                pass
+        elif not self.path.exists():
+            raise FileNotFoundError(f"transcript file not found: {self.path}")
+        for lineno, record in iter_jsonl(self.path, TranscriptError):
             if not isinstance(record.get("fingerprint"), str):
                 raise TranscriptError(f"{self.path}: line {lineno}: transcript entry without a fingerprint")
             self._entries[record["fingerprint"]] = record
@@ -301,11 +296,11 @@ class TranscriptStore:
             if self.record_from is None:
                 raise TranscriptMissError(fingerprints[missing[0]])
             fresh = fetch(missing)
-            with self._lock:
+            with self._lock, appending(self.path) as append:
                 for i, body in zip(missing, fresh, strict=True):
                     entry = {"fingerprint": fingerprints[i], **body}
                     self._entries[fingerprints[i]] = entry
-                    append_transcript_entry(self.path, entry)
+                    append(entry)
                     entries[i] = entry
         return entries
 

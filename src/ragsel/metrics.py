@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import INSUFFICIENT_MARKER, Passage, PassageStore, QuestionRecord
+from .files import replace_atomically, write_json
 from .pipeline import QueryTrace
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
@@ -264,9 +265,7 @@ class MetricReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricReport":
@@ -388,13 +387,11 @@ def evaluate_traces(
 
 def write_plot_data(report: MetricReport, out_dir: str | Path) -> list[Path]:
     """Plain columnar exports: k vs hit@k and k vs ic@k."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     max_k = report.config.get("max_k", 10)
     for stem, prefix in (("hit_at_k", "hit@"), ("ic_at_k", "ic@")):
-        path = out_dir / f"{stem}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
+        path = Path(out_dir) / f"{stem}.tsv"
+        with replace_atomically(path) as fh:
             fh.write(f"k\t{prefix}k\n")
             for k in range(1, max_k + 1):
                 entry = report.aggregate.get(f"{prefix}{k}", {"mean": None})

@@ -16,7 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import PassageStore, Passage, QuestionRecord, _iter_jsonl
+from .corpus import PassageStore, Passage, QuestionRecord
+from .files import iter_jsonl, write_json, write_jsonl
 from .gateway import ApiError, TranscriptMissError, TransportError, Usage, user_request
 from .retrieval import CandidateList
 from .selection import SelectionOutcome, Strategy, load_template, select
@@ -261,14 +262,12 @@ def run_benchmark(
 
 
 def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(path, (trace.to_dict() for trace in traces))
 
 
 def read_traces(path: str | Path) -> list[QueryTrace]:
     traces = []
-    for lineno, record in _iter_jsonl(path, PipelineError):
+    for lineno, record in iter_jsonl(path, PipelineError):
         try:
             traces.append(QueryTrace.from_dict(record))
         except (KeyError, TypeError, ValueError) as exc:
@@ -277,6 +276,4 @@ def read_traces(path: str | Path) -> list[QueryTrace]:
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, manifest)

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PassageStore, _iter_jsonl
+from .corpus import PassageStore
+from .files import iter_jsonl, replace_atomically, write_jsonl
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -197,7 +198,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     offsets = np.array([0] + [span.stop for span in index.terms.values()])
     # np.savez appends ".npz" to a path name; a file handle keeps the path as given
-    with open(path, "wb") as fh:
+    with replace_atomically(path, "wb") as fh:
         np.savez(fh, header=header_bytes, rows=index.rows, impacts=index.impacts, offsets=offsets)
 
 
@@ -259,16 +260,14 @@ class EmbeddingCache:
         self.vectors[passage_id] = arr
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"model": self.model, "dim": self.dim}) + "\n")
-            for pid, vec in self.vectors.items():
-                fh.write(json.dumps({"id": pid, "vector": vec.tolist()}) + "\n")
+        entries = ({"id": pid, "vector": vec.tolist()} for pid, vec in self.vectors.items())
+        write_jsonl(path, itertools.chain([{"model": self.model, "dim": self.dim}], entries))
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
         """Read a save file; a malformed line raises RetrievalError naming it."""
         cache = None
-        for lineno, record in _iter_jsonl(path, RetrievalError):
+        for lineno, record in iter_jsonl(path, RetrievalError):
             try:
                 if cache is None:
                     cache = cls(model=record["model"], dim=int(record["dim"]))
@@ -319,7 +318,7 @@ def precompute_embeddings(
 
 
 class DenseRetriever:
-    """Cosine search over the cached passage vectors, stacked once in store order.
+    """Cosine search over the cached passage vectors, kept only as one matrix in store order.
 
     The constructor embeds every passage missing from the cache at
     ``cache_path``; a zero vector on either side scores 0.0.
@@ -331,22 +330,22 @@ class DenseRetriever:
         if len(store) == 0:
             raise RetrievalError("cannot build a dense retriever over an empty corpus")
         self.backend = backend
-        self._cache = precompute_embeddings(backend, store, cache_path)
+        cache = precompute_embeddings(backend, store, cache_path)
         self.ids = store.ids
-        self.matrix = np.stack([self._cache.vectors[pid] for pid in self.ids])
+        self.matrix = np.stack([cache.vectors[pid] for pid in self.ids])
         self.norms = np.linalg.norm(self.matrix, axis=1)
         self.id_rank = _id_ranks(self.ids)
 
-    def _ensure_cache(self) -> EmbeddingCache:
-        return self._cache
+    def _ensure_cache(self) -> np.ndarray:
+        return self.matrix
 
     def retrieve(self, query: str, k: int, query_id: str = "") -> CandidateList:
         if k <= 0:
             raise RetrievalError(f"k must be positive, got {k}")
         query_vec = np.asarray(self.backend.embed([query])[0], dtype=np.float64)
-        if query_vec.shape != (self._cache.dim,):
+        if query_vec.shape != (self.matrix.shape[1],):
             raise RetrievalError(
-                f"query embedding dimension {query_vec.shape[0]} does not match cache ({self._cache.dim})"
+                f"query embedding dimension {query_vec.shape[0]} does not match cache ({self.matrix.shape[1]})"
             )
         qnorm = float(np.linalg.norm(query_vec))
         sims = np.zeros(len(self.ids))

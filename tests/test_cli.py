@@ -19,10 +19,10 @@ from ragsel.cli import (
     validate_config,
 )
 from ragsel.corpus import load_corpus
+from ragsel.files import write_jsonl
 from ragsel.gateway import (
     HttpChatBackend,
     HttpEmbedBackend,
-    append_transcript_entry,
     request_fingerprint,
     user_request,
 )
@@ -302,13 +302,13 @@ def build_workspace(tmp_path, skip_generation_for=()):
     # replay entries keyed by the exact prompts the pipeline will build
     store = load_corpus(corpus_path)
     retriever = Bm25Retriever(build_index(store, AnalyzerConfig()))
+    entries = []
     for qid, spec in QUERIES.items():
         candidates = retriever.retrieve(spec["question"], 20, query_id=qid)
         texts = [store.get(pid).text for pid in candidates.ids]
         sel_prompt = render_prompt(Strategy.REQUIREMENT_COT, spec["question"], texts)
         sel_req = user_request("selector", sel_prompt)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(sel_req.model, sel_req.messages),
                 "response": spec["selection"],
@@ -322,8 +322,7 @@ def build_workspace(tmp_path, skip_generation_for=()):
             PromptStyle.GENERAL, spec["question"], [store.get(spec["picked"])]
         )
         gen_req = user_request("generator", gen_prompt)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(gen_req.model, gen_req.messages),
                 "response": spec["answer"],
@@ -331,6 +330,7 @@ def build_workspace(tmp_path, skip_generation_for=()):
                 "completion_tokens": 4,
             },
         )
+    write_jsonl(transcript_path, entries)
     config = {
         "paths": {
             "corpus": str(corpus_path),
@@ -375,6 +375,19 @@ def test_cli_run_eval_report(tmp_path, capsys):
     assert main(["report", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "em" in out and "1.0000" in out and "queries: 2" in out
+
+
+@pytest.mark.parametrize(
+    "key,name,writer,reader",
+    [("traces", "mytraces.jsonl", "run", "eval"), ("report", "myreport.json", "eval", "report")],
+)
+def test_cli_reader_finds_what_the_writer_wrote(tmp_path, key, name, writer, reader):
+    config_path = build_workspace(tmp_path)
+    moved = ["--config", str(config_path), "--set", f"paths.{key}={tmp_path / 'elsewhere' / name}"]
+    assert main(["run", *moved]) == 0
+    assert main([writer, *moved]) == 0
+    assert (tmp_path / "elsewhere" / name).exists()
+    assert main([reader, *moved]) == 0
 
 
 def test_cli_run_is_deterministic(tmp_path):
@@ -554,12 +567,18 @@ def test_cli_select_listwise_keeps_what_run_keeps(tmp_path, capsys):
     sel_prompt = render_prompt(Strategy.LISTWISE_RERANK, "apple", [store.get(pid).text for pid in candidates])
     kept = [candidates[i - 1] for i in (7, 6, 5, 4, 3)]
     gen_prompt = render_answer_prompt(PromptStyle.GENERAL, "apple", [store.get(pid) for pid in kept])
-    for request, response in [
+    replies = [
         (user_request("selector", sel_prompt), "[7] > [6] > [5] > [4] > [3] > [2] > [1]"),
         (user_request("generator", gen_prompt, max_tokens=256), "A: x"),
-    ]:
-        entry = {"fingerprint": request_fingerprint(request.model, request.messages), "response": response}
-        append_transcript_entry(transcript_path, {**entry, "prompt_tokens": 1, "completion_tokens": 1})
+    ]
+    write_jsonl(
+        transcript_path,
+        [
+            {"fingerprint": request_fingerprint(request.model, request.messages), "response": response,
+             "prompt_tokens": 1, "completion_tokens": 1}
+            for request, response in replies
+        ],
+    )
     config = {
         "paths": {"corpus": "corpus.jsonl", "questions": "questions.jsonl", "output_dir": "out"},
         "strategy": "listwise_rerank",
@@ -626,6 +645,7 @@ def build_distill_workspace(tmp_path, n=4, missing=()):
                 )
                 + "\n"
             )
+    entries = []
     for i in range(1, n + 1):
         if f"q{i}" in missing:
             continue
@@ -635,8 +655,7 @@ def build_distill_workspace(tmp_path, n=4, missing=()):
             [f"kw{i} body {j}" for j in range(1, 5)],
         )
         req = user_request("selector", prompt)
-        append_transcript_entry(
-            transcript_path,
+        entries.append(
             {
                 "fingerprint": request_fingerprint(req.model, req.messages),
                 "response": f"Step 1. kw{i} needs body 2.\n### Final Selection: [2]",
@@ -644,8 +663,7 @@ def build_distill_workspace(tmp_path, n=4, missing=()):
                 "completion_tokens": 15,
             },
         )
-    if not transcript_path.exists():
-        transcript_path.write_text("", encoding="utf-8")
+    write_jsonl(transcript_path, entries)
     config = {
         "paths": {
             "distill_input": str(input_path),

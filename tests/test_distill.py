@@ -1,10 +1,12 @@
 """Tests for teacher labeling and training-record construction."""
 
 import json
+import random
 import threading
 
 import pytest
 
+from ragsel import distill
 from ragsel.gateway import HttpChatBackend, TransportError, Usage
 from ragsel.distill import (
     DistillError,
@@ -272,7 +274,7 @@ def test_run_labeling_writes_each_completion_before_a_crash(tmp_path):
 @pytest.mark.parametrize(
     "damage,fragment",
     [
-        (lambda text: text[:-20], "line 3: invalid JSON"),  # an interrupted write cuts the last line
+        (lambda text: text[:-20] + "\n", "line 3: invalid JSON"),  # ends in a newline, so not a torn tail
         (lambda text: text + '{"messages": []}\n', "line 4: missing string field 'query_id'"),
     ],
     ids=["truncated-line", "no-query-id"],
@@ -283,6 +285,72 @@ def test_run_labeling_resume_rejects_malformed_records(tmp_path, damage, fragmen
     out.write_text(damage(out.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(DistillError, match=f"out.jsonl: {fragment}"):
         run(tmp_path, ScriptedTeacher({}))
+
+
+def _appends_of(run_dir, n):
+    """The appends one labeling run made, in order: per query its records
+    group, then its reject line, then its checkpoint line."""
+    by_id = {}
+    for name in ("out.jsonl", "out.jsonl.rejects.jsonl"):
+        for line in (run_dir / name).read_bytes().splitlines(keepends=True):
+            by_id.setdefault((name, json.loads(line)["query_id"]), []).append(line)
+    checkpoint = set((run_dir / "ck.txt").read_text(encoding="utf-8").split())
+    appends = []
+    for qid in (f"q{i}" for i in range(1, n + 1)):
+        for name in ("out.jsonl", "out.jsonl.rejects.jsonl"):
+            if (name, qid) in by_id:
+                appends.append((name, b"".join(by_id[name, qid])))
+        if qid in checkpoint:
+            appends.append(("ck.txt", f"{qid}\n".encode()))
+    return appends
+
+
+def test_run_labeling_resume_after_a_kill_is_exact(tmp_path):
+    # a kill leaves every earlier append whole and a prefix of the current
+    # one; resuming from any such state gives the uninterrupted run's files
+    variants = (Strategy.COT, Strategy.SELECTION_ONLY)
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    run(whole, ScriptedTeacher({"kw3 ": ["no selection line"]}), n=5, variants=variants)
+    names = ("out.jsonl", "out.jsonl.rejects.jsonl", "ck.txt")
+    want = {name: (whole / name).read_bytes() for name in names}
+    appends = _appends_of(whole, 5)
+    for name in names:
+        assert b"".join(chunk for n, chunk in appends if n == name) == want[name]
+    rng = random.Random(11)
+    kills = []
+    for i, (_, chunk) in enumerate(appends):
+        lines = chunk.splitlines(keepends=True)
+        offsets = {sum(map(len, lines[:j])) for j in range(len(lines))} | {len(chunk) - 1}
+        kills += [(i, cut) for cut in sorted(offsets | {rng.randrange(1, len(chunk)) for _ in range(3)})]
+    kills.append((len(appends), 0))
+    for k, (i, cut) in enumerate(kills):
+        state = tmp_path / f"kill{k}"
+        state.mkdir()
+        for name in names:
+            done = b"".join(chunk for n, chunk in appends[:i] if n == name)
+            if i < len(appends) and appends[i][0] == name:
+                done += appends[i][1][:cut]
+            (state / name).write_bytes(done)
+        run(state, ScriptedTeacher({"kw3 ": ["no selection line"]}), n=5, variants=variants)
+        got = {name: (state / name).read_bytes() for name in names}
+        assert (got["out.jsonl"], got["ck.txt"]) == (want["out.jsonl"], want["ck.txt"]), (i, cut)
+        # a reject written just before the kill is written again on resume
+        rejects = got["out.jsonl.rejects.jsonl"].splitlines()
+        assert set(rejects) == set(want["out.jsonl.rejects.jsonl"].splitlines())
+
+
+def test_run_labeling_parses_each_completion_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_selection(text)
+
+    monkeypatch.setattr(distill, "parse_selection", counting_parse)
+    stats = run(tmp_path, ScriptedTeacher({"kw2 ": ["gibberish first try", GOOD]}), n=3, retries=1)
+    assert stats.accepted == 3
+    assert len(parsed) == 4
 
 
 def test_run_labeling_parse_reject_is_final(tmp_path):

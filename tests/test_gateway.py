@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from ragsel.files import write_jsonl
 from ragsel.gateway import (
     ApiError,
     ChatRequest,
@@ -15,7 +16,6 @@ from ragsel.gateway import (
     TransportError,
     Usage,
     ZERO_USAGE,
-    append_transcript_entry,
     estimate_tokens,
     merge_usage,
     request_fingerprint,
@@ -93,7 +93,7 @@ def _entry(model, content, response, pt=11, ct=7):
 
 def test_transcript_replay_verbatim(tmp_path):
     path = tmp_path / "t.jsonl"
-    append_transcript_entry(path, _entry("m", "ping", "pong", pt=4, ct=2))
+    write_jsonl(path, [_entry("m", "ping", "pong", pt=4, ct=2)])
     backend = TranscriptChatBackend(path)
     text, usage = backend.chat(user_request("m", "ping"))
     assert text == "pong"
@@ -104,7 +104,7 @@ def test_transcript_replay_verbatim(tmp_path):
 
 def test_transcript_miss_names_fingerprint(tmp_path):
     path = tmp_path / "t.jsonl"
-    append_transcript_entry(path, _entry("m", "ping", "pong"))
+    write_jsonl(path, [_entry("m", "ping", "pong")])
     backend = TranscriptChatBackend(path)
     request = user_request("m", "unseen")
     with pytest.raises(TranscriptMissError) as err:
@@ -147,11 +147,22 @@ def test_record_mode_writes_then_replays(tmp_path):
     assert json.loads(path.read_text(encoding="utf-8")) == _entry("m", "fresh", "live answer", pt=9, ct=3)
 
 
+@pytest.mark.parametrize("tail", ["", '{"fingerprint": "ab'], ids=["whole-entry", "torn-entry"])
+def test_record_mode_after_a_last_line_without_newline(tmp_path, tail):
+    # a whole last entry that lost only its newline is kept on a line of its
+    # own; a torn one is cut, so the next load does not fail on either
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(_entry("m", "old", "old answer")) + ("\n" + tail if tail else ""), encoding="utf-8")
+    TranscriptChatBackend(path, record_from=StubLiveChat()).chat(user_request("m", "fresh"))
+    replay = TranscriptChatBackend(path)
+    assert replay.chat(user_request("m", "old"))[0] == "old answer"
+    assert replay.chat(user_request("m", "fresh"))[0] == "live answer"
+
+
 def test_usage_totals_are_additive(tmp_path):
     path = tmp_path / "t.jsonl"
     usages = []
-    for i in range(5):
-        append_transcript_entry(path, _entry("m", f"q{i}", f"a{i}", pt=i + 1, ct=2 * i))
+    write_jsonl(path, [_entry("m", f"q{i}", f"a{i}", pt=i + 1, ct=2 * i) for i in range(5)])
     backend = TranscriptChatBackend(path)
     total = ZERO_USAGE
     for i in range(5):
@@ -314,8 +325,7 @@ def test_transcript_embed_record_and_replay(tmp_path):
 
 def test_concurrent_transcript_replay_is_safe(tmp_path):
     path = tmp_path / "t.jsonl"
-    for i in range(20):
-        append_transcript_entry(path, _entry("m", f"q{i}", f"a{i}"))
+    write_jsonl(path, [_entry("m", f"q{i}", f"a{i}") for i in range(20)])
     backend = TranscriptChatBackend(path)
     results = {}
 

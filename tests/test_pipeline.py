@@ -5,11 +5,11 @@ import json
 import pytest
 
 from ragsel.corpus import Passage, PassageStore, QuestionRecord
+from ragsel.files import write_jsonl
 from ragsel.gateway import (
     TranscriptMissError,
     TransportError,
     Usage,
-    append_transcript_entry,
     request_fingerprint,
     user_request,
 )
@@ -377,23 +377,22 @@ def test_run_query_with_transcript_backends(tmp_path):
     path = tmp_path / "transcript.jsonl"
     sel_req = user_request("selector", sel_prompt)
     gen_req = user_request("generator", ans_prompt, max_tokens=256)
-    append_transcript_entry(
+    write_jsonl(
         path,
-        {
-            "fingerprint": request_fingerprint(sel_req.model, sel_req.messages),
-            "response": sel_completion,
-            "prompt_tokens": 100,
-            "completion_tokens": 12,
-        },
-    )
-    append_transcript_entry(
-        path,
-        {
-            "fingerprint": request_fingerprint(gen_req.model, gen_req.messages),
-            "response": "A: from transcript",
-            "prompt_tokens": 90,
-            "completion_tokens": 4,
-        },
+        [
+            {
+                "fingerprint": request_fingerprint(sel_req.model, sel_req.messages),
+                "response": sel_completion,
+                "prompt_tokens": 100,
+                "completion_tokens": 12,
+            },
+            {
+                "fingerprint": request_fingerprint(gen_req.model, gen_req.messages),
+                "response": "A: from transcript",
+                "prompt_tokens": 90,
+                "completion_tokens": 4,
+            },
+        ],
     )
     backend = TranscriptChatBackend(path)
     trace = run_query(q, retriever, store, backend, backend, cfg)

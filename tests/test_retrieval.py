@@ -3,6 +3,7 @@ import math
 import random
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -617,6 +618,23 @@ def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
         assert all(len(c) == 3 for c in pool.map(first_query, range(4)))
     assert backend.texts == Counter([p.text for p in store] + [f"query {n}" for n in range(4)])
     assert sorted(EmbeddingCache.load(path).vectors) == sorted(store.ids)
+
+
+def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
+    rng = np.random.default_rng(3)
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=f"passage {i}") for i in range(1000)])
+    backend = FakeEmbedBackend("emb-1", {p.text: rng.standard_normal(128).tolist() for p in store})
+    path = tmp_path / "emb.jsonl"
+    precompute_embeddings(backend, store, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        retriever = DenseRetriever(backend, store, path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retriever.matrix.shape == (1000, 128)
+    assert retained < 1.5 * retriever.matrix.nbytes
 
 
 BAD_ENTRY = "line 5: not an embedding cache line: expected a string 'id' and a list 'vector'"
