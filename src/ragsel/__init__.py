@@ -1,7 +1,7 @@
 """RAG pipeline with set-wise passage selection and evaluation tooling."""
 
 from .corpus import CorpusError, Passage, PassageStore, QuestionRecord, load_corpus, load_questions
-from .distill import DistillError, LabelingStats, TrainingRecord, run_labeling
+from .distill import DistillError, LabelingStats, run_labeling
 from .gateway import (
     ApiError,
     HttpChatBackend,
@@ -73,7 +73,6 @@ __all__ = [
     "SelectionError",
     "SelectionOutcome",
     "Strategy",
-    "TrainingRecord",
     "TranscriptChatBackend",
     "TranscriptEmbedBackend",
     "TranscriptMissError",

@@ -453,7 +453,7 @@ def cmd_run(cfg: dict, args) -> int:
         effective_config=cfg,
     )
     traces_path = _artifact_path(cfg, "traces", "traces.jsonl")
-    manifest_path = Path(cfg["paths"]["output_dir"]) / "manifest.json"
+    manifest_path = traces_path.with_name("manifest.json")
     write_traces(traces_path, traces)
     write_manifest(manifest_path, manifest)
     print(

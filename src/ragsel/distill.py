@@ -1,11 +1,13 @@
 """Teacher labeling for selection fine-tuning data.
 
 A teacher model answers the requirement-listing selection prompt for each
-input query; completions that parse into a valid, non-empty selection
-become chat-format training records. Parse failures and backend failures
-are logged to a rejects file and never abort the run. Labeling is
-resumable: processed query ids go to a checkpoint file and are skipped on
-the next run.
+input query, and ``selection.read_selection`` reads its completion by the
+same rules ``run`` applies to the selector's output. A completion that
+would fall back there is a reject here; any other becomes chat-format
+training records, one for the prompt the teacher saw and one per variant
+prompt style. Rejects go to a rejects file and never abort the run.
+Labeling is resumable: processed query ids go to a checkpoint file and are
+skipped on the next run.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .gateway import (
 )
 from .selection import (
     SELECTION_STRATEGIES,
+    SelectionOutcome,
     Strategy,
-    parse_selection,
+    read_selection,
     render_prompt,
-    sanitize_indices,
     split_selection,
 )
 
@@ -48,37 +50,6 @@ class LabelQuery:
     id: str
     question: str
     candidate_texts: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class LabelResult:
-    prompt: str
-    completion: str
-    usage: Usage
-
-
-@dataclass(frozen=True)
-class TrainingRecord:
-    query_id: str
-    teacher_model: str
-    strategy: Strategy
-    prompt: str
-    completion: str
-    selected_indices: tuple[int, ...]
-    dropped_indices: int
-
-    def to_dict(self) -> dict:
-        return {
-            "messages": [
-                {"role": "user", "content": self.prompt},
-                {"role": "assistant", "content": self.completion},
-            ],
-            "query_id": self.query_id,
-            "teacher_model": self.teacher_model,
-            "strategy": self.strategy.value,
-            "selected_indices": list(self.selected_indices),
-            "dropped_indices": self.dropped_indices,
-        }
 
 
 @dataclass
@@ -125,85 +96,44 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
     return queries
 
 
-def label_query(
-    backend,
-    model: str,
-    question_text: str,
-    candidate_texts: Sequence[str],
-    expected_candidates: int = 20,
-    strict: bool = True,
-    templates_dir: str | Path | None = None,
-) -> LabelResult:
-    """Ask the teacher for a selection over the candidate list."""
-    if strict and len(candidate_texts) != expected_candidates:
-        raise DistillError(
-            f"expected {expected_candidates} candidates, got {len(candidate_texts)}"
-        )
-    prompt = render_prompt(Strategy.REQUIREMENT_COT, question_text, candidate_texts, templates_dir)
-    completion, usage = backend.chat(user_request(model, prompt))
-    return LabelResult(prompt=prompt, completion=completion, usage=usage)
-
-
-def build_record(
+def training_records(
+    query: LabelQuery,
     prompt: str,
-    completion: str,
-    query_id: str,
+    outcome: SelectionOutcome,
     teacher_model: str,
-    num_candidates: int,
-) -> TrainingRecord:
-    """Validate a teacher completion into a training record.
+    variants: Sequence[Strategy],
+    templates_dir: str | Path | None,
+) -> list[dict]:
+    """Chat-format records of one accepted teacher selection.
 
-    Raises DistillError with reason "no-marker" when the final-selection
-    line is absent or empty, "empty-after-sanitize" when every parsed
-    index is out of range. Partially out-of-range selections survive with
-    the bad indices counted in ``dropped_indices``.
+    The first record pairs the prompt the teacher saw with its completion.
+    Each variant re-renders the user turn with its own template; the
+    assistant turn keeps the teacher's reasoning except for the
+    selection-only style, which trims it down to the final-selection line.
     """
-    parsed = parse_selection(completion)
-    if parsed is None:
-        raise DistillError("no-marker")
-    kept = sanitize_indices(parsed, num_candidates)
-    if not kept:
-        raise DistillError("empty-after-sanitize")
-    return TrainingRecord(
-        query_id=query_id,
-        teacher_model=teacher_model,
-        strategy=Strategy.REQUIREMENT_COT,
-        prompt=prompt,
-        completion=completion,
-        selected_indices=tuple(kept),
-        dropped_indices=len(parsed) - len(kept),
-    )
 
+    def record(strategy: Strategy, user: str, assistant: str) -> dict:
+        return {
+            "messages": [
+                {"role": "user", "content": user},
+                {"role": "assistant", "content": assistant},
+            ],
+            "query_id": query.id,
+            "teacher_model": teacher_model,
+            "strategy": strategy.value,
+            "selected_indices": list(outcome.indices),
+            "dropped_indices": outcome.dropped_indices,
+        }
 
-def derive_variant_record(
-    record: TrainingRecord,
-    variant: Strategy,
-    question_text: str,
-    candidate_texts: Sequence[str],
-    templates_dir: str | Path | None = None,
-) -> TrainingRecord:
-    """Re-target an accepted record at another selection prompt style.
-
-    The user turn is re-rendered with the variant template; the assistant
-    turn keeps the teacher's reasoning except for the selection-only
-    style, which trims it down to the final-selection line.
-    """
-    if variant not in SELECTION_STRATEGIES:
-        raise DistillError(f"not a selection strategy: {variant.value}")
-    prompt = render_prompt(variant, question_text, candidate_texts, templates_dir)
-    if variant is Strategy.SELECTION_ONLY:
-        completion = split_selection(record.completion)[1].strip()
-    else:
-        completion = record.completion
-    return TrainingRecord(
-        query_id=record.query_id,
-        teacher_model=record.teacher_model,
-        strategy=variant,
-        prompt=prompt,
-        completion=completion,
-        selected_indices=record.selected_indices,
-        dropped_indices=record.dropped_indices,
-    )
+    completion = outcome.raw_completion
+    return [record(outcome.strategy, prompt, completion)] + [
+        record(
+            variant,
+            render_prompt(variant, query.question, query.candidate_texts, templates_dir),
+            split_selection(completion)[1].strip() if variant is Strategy.SELECTION_ONLY else completion,
+        )
+        for variant in variants
+    ]
 
 
 def _existing_output_ids(path: Path, committed: set[str]) -> set[str]:
@@ -246,31 +176,34 @@ def run_labeling(
     this call processes. ``retries`` re-asks the teacher that many extra
     times when a completion fails to parse.
     """
+    for variant in variants:
+        if variant not in SELECTION_STRATEGIES:
+            raise DistillError(f"not a selection strategy: {variant.value}")
     output_path = Path(output_path)
     checkpoint_path = Path(checkpoint_path)
     rejects_path = output_path.with_name(output_path.name + ".rejects.jsonl")
     queries = load_label_queries(input_path)
 
     def ask(query: LabelQuery):
-        """Chat with parse-aware retries; returns (record, reject, usage)."""
+        """Chat with parse-aware retries; returns ((prompt, outcome), reject, usage)."""
+        num = len(query.candidate_texts)
+        if strict_count and num != expected_candidates:
+            return None, ("candidate-count", f"expected {expected_candidates} candidates, got {num}"), ZERO_USAGE
+        prompt = render_prompt(Strategy.REQUIREMENT_COT, query.question, query.candidate_texts, templates_dir)
         usage = ZERO_USAGE
         for _ in range(1 + max(0, retries)):
             try:
-                result = label_query(backend, model, query.question, query.candidate_texts,
-                                     expected_candidates, strict_count, templates_dir)
-            except DistillError as exc:
-                return None, ("candidate-count", str(exc)), usage
+                completion, call_usage = backend.chat(user_request(model, prompt))
             except (TransportError, ApiError, TranscriptMissError) as exc:
                 return None, ("transport", str(exc)), usage
-            usage = merge_usage(usage, result.usage)
-            try:
-                record = build_record(result.prompt, result.completion, query.id, model, len(query.candidate_texts))
-            except DistillError as exc:
-                if str(exc) != "no-marker":
-                    return None, (str(exc), result.completion[:200]), usage
-            else:
-                return record, None, usage
-        return None, ("no-marker", result.completion[:200]), usage
+            usage = merge_usage(usage, call_usage)
+            # a completion that would fall back in `run` is a reject here
+            outcome = read_selection(Strategy.REQUIREMENT_COT, completion, num, call_usage)
+            if not outcome.fallback_applied:
+                return (prompt, outcome), None, usage
+            if outcome.dropped_indices:
+                return None, ("empty-after-sanitize", completion[:200]), usage
+        return None, ("no-marker", completion[:200]), usage
 
     # each outcome is written and checkpointed as soon as it comes back, in
     # input order, so an interrupt loses no completion already consumed
@@ -286,7 +219,7 @@ def run_labeling(
         stats = LabelingStats(skipped=len(queries) - len(pending))
         if limit is not None:
             pending = pending[: max(0, limit)]
-        for query, (record, reject, usage) in zip(pending, pool.map(ask, pending)):
+        for query, (accepted, reject, usage) in zip(pending, pool.map(ask, pending)):
             stats.teacher_usage = merge_usage(stats.teacher_usage, usage)
             if reject is not None:
                 reason, detail = reject
@@ -298,11 +231,7 @@ def run_labeling(
                 if reason not in ("transport", "candidate-count"):
                     commit(query.id)
                 continue
-            derived = [
-                derive_variant_record(record, v, query.question, query.candidate_texts, templates_dir)
-                for v in variants
-            ]
-            append_records(*(r.to_dict() for r in [record, *derived]))
+            append_records(*training_records(query, *accepted, model, variants, templates_dir))
             commit(query.id)
             stats.accepted += 1
     return stats

@@ -111,11 +111,7 @@ def parse_selection(text: str) -> list[int] | None:
     marker_line = split_selection(text)[1]
     if marker_line is None:
         return None
-    tail = marker_line.split(SELECTION_MARKER, 1)[1]
-    indices = [int(m) for m in _BRACKET_INT_RE.findall(tail)]
-    if not indices:
-        return None
-    return list(dict.fromkeys(indices))
+    return parse_ranking(marker_line.split(SELECTION_MARKER, 1)[1])
 
 
 def parse_ranking(text: str) -> list[int] | None:
@@ -189,6 +185,29 @@ class SelectionOutcome:
         )
 
 
+def read_selection(
+    strategy: Strategy, completion: str, num_candidates: int, usage: Usage
+) -> SelectionOutcome:
+    """Parse one completion into an outcome over ``num_candidates``.
+
+    Out-of-range indices are dropped and counted; a completion with nothing
+    usable left falls back to the leading candidates and sets
+    ``fallback_applied``.
+    """
+    listwise = strategy is Strategy.LISTWISE_RERANK
+    parsed = (parse_ranking if listwise else parse_selection)(completion) or []
+    kept = sanitize_indices(parsed, num_candidates)
+    return SelectionOutcome(
+        strategy=strategy,
+        indices=kept or fallback_indices(num_candidates),
+        raw_completion=completion,
+        reasoning="" if listwise else split_selection(completion)[0],
+        usage=usage,
+        fallback_applied=not kept,
+        dropped_indices=len(parsed) - len(kept),
+    )
+
+
 def select(
     question: str,
     candidate_texts: Sequence[str],
@@ -198,39 +217,11 @@ def select(
     max_tokens: int | None = None,
     templates_dir: str | Path | None = None,
 ) -> SelectionOutcome:
-    """Run one selection (or reranking) call and parse the outcome.
+    """Run one selection (or reranking) call and read its completion.
 
     Transport errors propagate; parse failures and empty selections fall
     back to the leading candidates and set ``fallback_applied``.
     """
     prompt = render_prompt(strategy, question, candidate_texts, templates_dir)
     text, usage = backend.chat(user_request(model, prompt, max_tokens=max_tokens))
-    num = len(candidate_texts)
-    if strategy is Strategy.LISTWISE_RERANK:
-        parsed = parse_ranking(text)
-        reasoning = ""
-    else:
-        parsed = parse_selection(text)
-        reasoning = split_selection(text)[0]
-    fallback = False
-    dropped = 0
-    if parsed is None:
-        indices = fallback_indices(num)
-        fallback = True
-    else:
-        kept = sanitize_indices(parsed, num)
-        dropped = len(parsed) - len(kept)
-        if kept:
-            indices = kept
-        else:
-            indices = fallback_indices(num)
-            fallback = True
-    return SelectionOutcome(
-        strategy=strategy,
-        indices=indices,
-        raw_completion=text,
-        reasoning=reasoning,
-        usage=usage,
-        fallback_applied=fallback,
-        dropped_indices=dropped,
-    )
+    return read_selection(strategy, text, len(candidate_texts), usage)

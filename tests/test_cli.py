@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +389,8 @@ def test_cli_reader_finds_what_the_writer_wrote(tmp_path, key, name, writer, rea
     assert main(["run", *moved]) == 0
     assert main([writer, *moved]) == 0
     assert (tmp_path / "elsewhere" / name).exists()
+    # the manifest sits beside the traces it describes
+    assert (tmp_path / ("elsewhere" if key == "traces" else "out") / "manifest.json").exists()
     assert main([reader, *moved]) == 0
 
 
@@ -706,6 +710,33 @@ def test_cli_distill_transport_exit_code(tmp_path, capsys):
     assert "rejected[transport]: 1" in out
     rejects = (tmp_path / "out" / "distill.jsonl.rejects.jsonl").read_text(encoding="utf-8")
     assert "q2" in rejects
+
+
+# --- fixture outputs ------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_fixture_outputs_are_pinned(tmp_path):
+    config = ["--config", str(FIXTURES / "config.json")]
+    # relative paths resolve against the config's directory, so every output path is absolute
+    assert main(["run", *config, "--output-dir", str(tmp_path / "run")]) == 0
+    teacher = ["--set", f"selection_backend.transcript={FIXTURES / 'distill_transcript.jsonl'}"]
+    for name, variants in (("plain", "[]"), ("variants", '["cot","selection_only"]')):
+        out = ["--output-dir", str(tmp_path / name), "--set", f"distill.variants={variants}"]
+        assert main(["distill", *config, *teacher, *out]) == 0
+
+    def digest(*parts):
+        return hashlib.sha256(tmp_path.joinpath(*parts).read_bytes()).hexdigest()
+
+    assert digest("run", "traces.jsonl") == "239d6f7af5e75a1d4aed680185f00d58b9af890ee9d1b46e97d5f5767b5b9be8"
+    assert digest("plain", "distill.jsonl") == "873bb4360e766521e07010166fc2f20ae2373f29c2e807b580fb77f9aa19342c"
+    assert digest("variants", "distill.jsonl") == "d48d6ac35c7ee6316351a108cd92d2a2be207c2e1592ae29e1c62f6b4d9c7a06"
+    for name in ("plain", "variants"):
+        assert digest(name, "distill.jsonl.checkpoint") == (
+            "db847c3bcbd4b81890a07c15b295e2b4217a5b11aee281c403fa05c61185b7ed"
+        )
+        assert (tmp_path / name / "distill.jsonl.rejects.jsonl").read_bytes() == b""
 
 
 # --- packaging ---------------------------------------------------------------------

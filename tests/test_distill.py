@@ -6,17 +6,9 @@ import threading
 
 import pytest
 
-from ragsel import distill
+from ragsel import selection
 from ragsel.gateway import HttpChatBackend, TransportError, Usage
-from ragsel.distill import (
-    DistillError,
-    LabelingStats,
-    build_record,
-    derive_variant_record,
-    label_query,
-    load_label_queries,
-    run_labeling,
-)
+from ragsel.distill import DistillError, LabelingStats, load_label_queries, run_labeling
 from ragsel.selection import SELECTION_MARKER, Strategy, parse_selection, sanitize_indices
 
 GOOD = "Step 1. Needs the founding date.\nStep 2. [2] and [4] carry it.\n### Final Selection: [2] [4]"
@@ -132,75 +124,6 @@ def test_load_label_queries_duplicate_id(tmp_path):
     with pytest.raises(DistillError) as excinfo:
         load_label_queries(path)
     assert "duplicate query id" in str(excinfo.value) and ": line 2:" in str(excinfo.value)
-
-
-# --- single-query labeling ------------------------------------------------------
-
-
-def test_label_query_renders_and_returns():
-    teacher = ScriptedTeacher({})
-    result = label_query(teacher, "teacher-xl", "kw1 question", ["a", "b", "c", "d"], 4)
-    assert "I will provide you with 4 passages" in result.prompt
-    assert "kw1 question" in result.prompt
-    assert result.completion == GOOD
-    assert result.usage == Usage(120, 15)
-    assert teacher.calls == [result.prompt]
-
-
-def test_label_query_strict_count():
-    teacher = ScriptedTeacher({})
-    with pytest.raises(DistillError) as excinfo:
-        label_query(teacher, "m", "q", ["a", "b"], expected_candidates=4)
-    assert "expected 4 candidates, got 2" in str(excinfo.value)
-    assert teacher.calls == []
-    result = label_query(teacher, "m", "q", ["a", "b"], expected_candidates=4, strict=False)
-    assert result.completion == GOOD
-
-
-# --- record construction ---------------------------------------------------------
-
-
-def test_build_record_good():
-    record = build_record("PROMPT", GOOD, "q1", "teacher-xl", 4)
-    assert record.to_dict()["messages"] == [
-        {"role": "user", "content": "PROMPT"},
-        {"role": "assistant", "content": GOOD},
-    ]
-    assert record.selected_indices == (2, 4)
-    assert record.dropped_indices == 0
-    assert record.to_dict()["strategy"] == "requirement_cot"
-
-
-def test_build_record_rejects():
-    with pytest.raises(DistillError) as excinfo:
-        build_record("P", "no structured selection here", "q1", "m", 4)
-    assert str(excinfo.value) == "no-marker"
-    with pytest.raises(DistillError) as excinfo:
-        build_record("P", "### Final Selection: [9] [12]", "q1", "m", 4)
-    assert str(excinfo.value) == "empty-after-sanitize"
-
-
-def test_build_record_partial_out_of_range():
-    record = build_record("P", "### Final Selection: [2] [9] [1]", "q1", "m", 4)
-    assert record.selected_indices == (2, 1)
-    assert record.dropped_indices == 1
-
-
-# --- variants -------------------------------------------------------------------
-
-
-def test_derive_variant_records():
-    record = build_record("P", GOOD, "q1", "teacher-xl", 4)
-    texts = ["a", "b", "c", "d"]
-    cot = derive_variant_record(record, Strategy.COT, "kw1 question", texts)
-    assert cot.completion == GOOD
-    assert cot.prompt.endswith("Let's think step by step.")
-    only = derive_variant_record(record, Strategy.SELECTION_ONLY, "kw1 question", texts)
-    assert only.completion == "### Final Selection: [2] [4]"
-    assert "do not say any word" in only.prompt
-    assert only.selected_indices == (2, 4)
-    with pytest.raises(DistillError):
-        derive_variant_record(record, Strategy.LISTWISE_RERANK, "kw1 question", texts)
 
 
 # --- end-to-end labeling runs -----------------------------------------------------
@@ -347,7 +270,7 @@ def test_run_labeling_parses_each_completion_once(tmp_path, monkeypatch):
         parsed.append(text)
         return parse_selection(text)
 
-    monkeypatch.setattr(distill, "parse_selection", counting_parse)
+    monkeypatch.setattr(selection, "parse_selection", counting_parse)
     stats = run(tmp_path, ScriptedTeacher({"kw2 ": ["gibberish first try", GOOD]}), n=3, retries=1)
     assert stats.accepted == 3
     assert len(parsed) == 4
@@ -388,9 +311,15 @@ def test_run_labeling_retries_on_parse_failure(tmp_path):
 
 
 def test_run_labeling_sanitize_reject(tmp_path):
-    teacher = ScriptedTeacher({"kw1 ": ["### Final Selection: [99]"]})
+    teacher = ScriptedTeacher(
+        {"kw1 ": ["### Final Selection: [99]"], "kw2 ": ["### Final Selection: [2] [9] [1]"]}
+    )
     stats = run(tmp_path, teacher, n=2)
     assert stats.accepted == 1 and stats.reject_reasons == {"empty-after-sanitize": 1}
+    # a partly out-of-range selection keeps its in-range part
+    (record,) = read_records(tmp_path)
+    assert record["query_id"] == "q2"
+    assert record["selected_indices"] == [2, 1] and record["dropped_indices"] == 1
 
 
 def test_run_labeling_candidate_count_reject(tmp_path):
@@ -399,6 +328,8 @@ def test_run_labeling_candidate_count_reject(tmp_path):
     assert stats.accepted == 0 and stats.rejected == 2
     assert stats.reject_reasons == {"candidate-count": 2}
     assert teacher.calls == []
+    rejects = (tmp_path / "out.jsonl.rejects.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(rejects[0])["detail"] == "expected 9 candidates, got 4"
     relaxed = run(tmp_path, teacher, n=2, expected_candidates=9, strict_count=False)
     assert relaxed.accepted == 2
 
@@ -422,6 +353,40 @@ def test_run_labeling_with_variants(tmp_path):
         assert parsed and sanitize_indices(parsed, 4) == parsed
     prompts = {s: rs[0]["messages"][0]["content"] for s, rs in by_strategy.items()}
     assert len(set(prompts.values())) == 3
+
+
+def test_run_labeling_record_shape(tmp_path):
+    teacher = ScriptedTeacher({})
+    stats = run(tmp_path, teacher, n=1, variants=(Strategy.COT, Strategy.SELECTION_ONLY))
+    assert stats.teacher_usage == Usage(120, 15)
+    base, cot, only = read_records(tmp_path)
+    # the base record carries the very prompt the teacher answered
+    assert teacher.calls == [base["messages"][0]["content"]]
+    for record, strategy in ((base, "requirement_cot"), (cot, "cot"), (only, "selection_only")):
+        user, assistant = record["messages"]
+        assert (user["role"], assistant["role"]) == ("user", "assistant")
+        assert "I will provide you with 4 passages" in user["content"]
+        assert "kw1 question" in user["content"]
+        assert {k: v for k, v in record.items() if k != "messages"} == {
+            "query_id": "q1",
+            "teacher_model": "teacher-xl",
+            "strategy": strategy,
+            "selected_indices": [2, 4],
+            "dropped_indices": 0,
+        }
+    assert base["messages"][1]["content"] == cot["messages"][1]["content"] == GOOD
+    assert cot["messages"][0]["content"].endswith("Let's think step by step.")
+    assert only["messages"][1]["content"] == "### Final Selection: [2] [4]"
+    assert "do not say any word" in only["messages"][0]["content"]
+
+
+def test_run_labeling_rejects_bad_variants_before_any_work(tmp_path):
+    teacher = ScriptedTeacher({"kw1 ": ["no selection line"]})
+    with pytest.raises(DistillError, match="not a selection strategy: listwise_rerank"):
+        run(tmp_path, teacher, n=2, variants=(Strategy.LISTWISE_RERANK,))
+    assert teacher.calls == []
+    for name in ("out.jsonl", "out.jsonl.rejects.jsonl", "ck.txt"):
+        assert not (tmp_path / name).exists()
 
 
 def test_run_labeling_malformed_reply_is_transport_reject(tmp_path, scripted_server):

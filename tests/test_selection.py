@@ -12,6 +12,7 @@ from ragsel.selection import (
     load_template,
     parse_ranking,
     parse_selection,
+    read_selection,
     render_context,
     render_prompt,
     sanitize_indices,
@@ -261,6 +262,17 @@ def test_select_invariants_on_adversarial_completions():
         assert outcome.fallback_applied == should_fall_back
         if should_fall_back:
             assert outcome.indices == fallback_indices(n)
+        assert read_selection(Strategy.REQUIREMENT_COT, text, n, backend.usage) == outcome
+    # read_selection alone: no marker, every index out of range, listwise
+    cases = [
+        (Strategy.REQUIREMENT_COT, "no marker at all", 8, [1, 2, 3, 4, 5], True, 0),
+        (Strategy.COT, "### Final Selection: [9] [12]", 4, [1], True, 2),
+        (Strategy.LISTWISE_RERANK, "[3] > [9] > [1]", 4, [3, 1], False, 1),
+    ]
+    for strategy, text, n, indices, fallback, dropped in cases:
+        outcome = read_selection(strategy, text, n, Usage(1, 2))
+        assert (outcome.indices, outcome.fallback_applied, outcome.dropped_indices) == (indices, fallback, dropped)
+        assert outcome.raw_completion == text and outcome.usage == Usage(1, 2)
 
 
 def test_outcome_dict_roundtrip():
