@@ -477,7 +477,7 @@ def cmd_eval(cfg: dict, args) -> int:
     report = evaluate_traces(traces, store, metrics_config(cfg))
     report_path = _artifact_path(cfg, "report", "report.json")
     report.save(report_path)
-    plot_files = write_plot_data(report, Path(cfg["paths"]["output_dir"]) / "plots")
+    plot_files = write_plot_data(report, report_path.parent / "plots")
     counts = report.counts
     print(
         f"evaluated {counts['queries']} traces "

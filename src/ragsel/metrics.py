@@ -14,11 +14,11 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import INSUFFICIENT_MARKER, Passage, PassageStore, QuestionRecord
+from .corpus import INSUFFICIENT_MARKER, CorpusError, Passage, PassageStore, QuestionRecord
 from .files import replace_atomically, write_json
 from .pipeline import QueryTrace
 
@@ -96,49 +96,36 @@ def _squash(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def evidence_match(passage_text: str, span: str) -> bool:
-    """Case- and whitespace-insensitive containment of span in passage."""
-    span_norm = _squash(span)
-    if not span_norm:
+def evidence_ranks(passage_texts: Sequence[str], evidence: Sequence[str]) -> list[int | None]:
+    """For each distinct gold evidence span, the 1-based rank of the first
+    passage that contains it (case- and whitespace-insensitive), or None
+    when no passage does."""
+    spans = [_squash(span) for span in dict.fromkeys(evidence)]
+    if not all(spans):
         raise MetricsError("evidence span must be non-empty")
-    return span_norm in _squash(passage_text)
+    texts = [_squash(text) for text in passage_texts]
+    return [next((rank for rank, text in enumerate(texts, start=1) if span in text), None) for span in spans]
 
 
-def _matched_span_indices(texts: Sequence[str], spans: Sequence[str]) -> set[int]:
-    matched = set()
-    for i, span in enumerate(spans):
-        if any(evidence_match(text, span) for text in texts):
-            matched.add(i)
-    return matched
-
-
-def info_coverage_at_k(
-    passage_texts: Sequence[str], evidence: Sequence[str], k: int
-) -> float | None:
+def info_coverage_at_k(ranks: Sequence[int | None], k: int) -> float | None:
     """Fraction of distinct gold evidence spans matched anywhere in the top
     k passages; a span matched by several passages counts once."""
-    spans = list(dict.fromkeys(evidence))
-    if not spans:
+    if not ranks:
         return None
-    return len(_matched_span_indices(passage_texts[:k], spans)) / len(spans)
+    return sum(rank is not None and rank <= k for rank in ranks) / len(ranks)
 
 
-def hit_at_k(
-    passage_texts: Sequence[str], evidence: Sequence[str], k: int, mode: str = "any"
-) -> int | None:
+def hit_at_k(ranks: Sequence[int | None], k: int, mode: str = "any") -> int | None:
     """1 when gold evidence appears in the top k passages.
 
     mode="any": at least one span matched; mode="all": every span matched.
     """
     if mode not in HIT_MODES:
         raise MetricsError(f"unknown hit mode: {mode!r}")
-    spans = list(dict.fromkeys(evidence))
-    if not spans:
+    if not ranks:
         return None
-    matched = _matched_span_indices(passage_texts[:k], spans)
-    if mode == "any":
-        return int(bool(matched))
-    return int(len(matched) == len(spans))
+    found = [rank is not None and rank <= k for rank in ranks]
+    return int(any(found) if mode == "any" else all(found))
 
 
 # --- answer metrics --------------------------------------------------------
@@ -211,9 +198,7 @@ def judge_relevance(question: QuestionRecord, candidates: Sequence[Passage]) -> 
     if question.gold_passage_ids:
         return RelevanceJudgment(frozenset(question.gold_passage_ids), "gold_ids")
     if question.evidence:
-        relevant = frozenset(
-            p.id for p in candidates if any(evidence_match(p.text, span) for span in question.evidence)
-        )
+        relevant = frozenset(p.id for p in candidates if any(evidence_ranks([p.text], question.evidence)))
         return RelevanceJudgment(relevant, "evidence")
     return RelevanceJudgment(frozenset(), "none")
 
@@ -235,34 +220,15 @@ class MetricsConfig:
 
 @dataclass
 class MetricReport:
-    per_query: list[dict]
-    aggregate: dict
+    config: dict
     counts: dict
     fallback_rate: float | None
     efficiency: dict
-    config: dict
+    aggregate: dict
+    per_query: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "config": self.config,
-            "counts": self.counts,
-            "fallback_rate": self.fallback_rate,
-            "efficiency": self.efficiency,
-            "aggregate": self.aggregate,
-            "per_query": self.per_query,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "MetricReport":
-        return cls(
-            per_query=record["per_query"],
-            aggregate=record["aggregate"],
-            counts=record["counts"],
-            fallback_rate=record["fallback_rate"],
-            efficiency=record["efficiency"],
-            config=record["config"],
-        )
+        return {"schema_version": 1, **vars(self)}
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
@@ -270,7 +236,11 @@ class MetricReport:
     @classmethod
     def load(cls, path: str | Path) -> "MetricReport":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                record = json.load(fh)
+                return cls(**{f.name: record[f.name] for f in fields(cls)})
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MetricsError(f"{path}: not a metrics report: {type(exc).__name__}: {exc}") from None
 
 
 def metric_names(config: MetricsConfig) -> list[str]:
@@ -296,11 +266,18 @@ def evaluate_trace(
     if trace.error is not None:
         row["error"] = trace.error
         return row
-    candidates = [store.get(pid) for pid in trace.candidates.ids] if trace.candidates else []
+
+    def passage(pid: str) -> Passage:
+        try:
+            return store.get(pid)
+        except CorpusError:
+            raise MetricsError(f"query {trace.question.id}: passage {pid!r} is not in the corpus") from None
+
+    candidates = [passage(pid) for pid in trace.candidates.ids] if trace.candidates else []
     judgment = judge_relevance(trace.question, candidates)
     row["judgment_source"] = judgment.source
     ranked = trace.selected_ids
-    texts = [store.get(pid).text for pid in ranked]
+    ranks = evidence_ranks([passage(pid).text for pid in ranked], trace.question.evidence)
     relevant = judgment.relevant_ids
     row[f"mrr@{config.rank_k}"] = mrr_at_k(ranked, relevant, config.rank_k)
     row[f"ndcg@{config.rank_k}"] = ndcg_at_k(ranked, relevant, config.rank_k)
@@ -308,8 +285,8 @@ def evaluate_trace(
     row[f"precision@{config.pr_k}"] = pr[0] if pr else None
     row[f"recall@{config.pr_k}"] = pr[1] if pr else None
     for k in range(1, config.max_k + 1):
-        row[f"hit@{k}"] = hit_at_k(texts, trace.question.evidence, k, config.hit_mode)
-        row[f"ic@{k}"] = info_coverage_at_k(texts, trace.question.evidence, k)
+        row[f"hit@{k}"] = hit_at_k(ranks, k, config.hit_mode)
+        row[f"ic@{k}"] = info_coverage_at_k(ranks, k)
     qa = qa_scores(trace.answer, trace.question.gold_answers)
     row["em"] = qa[0] if qa else None
     row["f1"] = qa[1] if qa else None
@@ -328,19 +305,10 @@ def evaluate_trace(
     return row
 
 
-def _mean_entry(values: list[float]) -> dict:
-    if not values:
-        return {"mean": None, "count": 0}
-    return {"mean": sum(values) / len(values), "count": len(values)}
-
-
-def aggregate_rows(rows: Sequence[dict], config: MetricsConfig = MetricsConfig()) -> dict:
-    """Macro-average every metric over the rows where it is defined."""
-    out = {}
-    for name in metric_names(config):
-        values = [row[name] for row in rows if row.get(name) is not None]
-        out[name] = _mean_entry(values)
-    return out
+def _mean_entry(rows: Sequence[dict], name: str) -> dict:
+    """Mean and count of ``name`` over the rows where it is defined."""
+    values = [row[name] for row in rows if row.get(name) is not None]
+    return {"mean": sum(values) / len(values) if values else None, "count": len(values)}
 
 
 def evaluate_traces(
@@ -352,21 +320,6 @@ def evaluate_traces(
         raise MetricsError("no traces to evaluate")
     rows = [evaluate_trace(t, store, config) for t in traces]
     ok_rows = [r for r in rows if "error" not in r]
-    aggregate = aggregate_rows(ok_rows, config)
-    with_selection = [t for t in traces if t.selection is not None]
-    fallback_rate = (
-        sum(1 for t in with_selection if t.selection.fallback_applied) / len(with_selection)
-        if with_selection
-        else None
-    )
-    selector_tokens = [r["selector_completion_tokens"] for r in ok_rows if r.get("selector_completion_tokens") is not None]
-    generator_tokens = [r["generator_prompt_tokens"] for r in ok_rows if r.get("generator_prompt_tokens") is not None]
-    selected_counts = [r["selected_count"] for r in ok_rows if r.get("selected_count") is not None]
-    efficiency = {
-        "mean_selector_completion_tokens": _mean_entry(selector_tokens)["mean"],
-        "mean_generator_prompt_tokens": _mean_entry(generator_tokens)["mean"],
-        "mean_selected_count": _mean_entry(selected_counts)["mean"],
-    }
     counts = {
         "queries": len(traces),
         "errors": sum(1 for r in rows if "error" in r),
@@ -375,13 +328,17 @@ def evaluate_traces(
         "excluded_evidence": sum(1 for r in ok_rows if r.get("hit@1") is None),
         "excluded_answer": sum(1 for r in ok_rows if r.get("em") is None),
     }
+    efficiency = {
+        f"mean_{name}": _mean_entry(ok_rows, name)["mean"]
+        for name in ("selector_completion_tokens", "generator_prompt_tokens", "selected_count")
+    }
     return MetricReport(
-        per_query=rows,
-        aggregate=aggregate,
-        counts=counts,
-        fallback_rate=fallback_rate,
-        efficiency=efficiency,
         config=config.to_dict(),
+        counts=counts,
+        fallback_rate=_mean_entry(ok_rows, "fallback")["mean"],
+        efficiency=efficiency,
+        aggregate={name: _mean_entry(ok_rows, name) for name in metric_names(config)},
+        per_query=rows,
     )
 
 

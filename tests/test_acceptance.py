@@ -27,6 +27,7 @@ from ragsel.gateway import (
 )
 from ragsel.metrics import (
     MetricReport,
+    evidence_ranks,
     hit_at_k,
     info_coverage_at_k,
     mrr_at_k,
@@ -121,9 +122,10 @@ def test_metric_oracle_equivalence():
         # brute force: lowercased whitespace-collapsed substring containment
         squashed = [" ".join(t.lower().split()) for t in texts[:k]]
         matched = {s for s in spans if any(" ".join(s.lower().split()) in t for t in squashed)}
-        assert abs(info_coverage_at_k(texts, spans, k) - len(matched) / len(spans)) <= 1e-12
-        assert hit_at_k(texts, spans, k, "any") == (1 if matched else 0)
-        assert hit_at_k(texts, spans, k, "all") == (1 if len(matched) == len(spans) else 0)
+        ranks = evidence_ranks(texts, spans)
+        assert abs(info_coverage_at_k(ranks, k) - len(matched) / len(spans)) <= 1e-12
+        assert hit_at_k(ranks, k, "any") == (1 if matched else 0)
+        assert hit_at_k(ranks, k, "all") == (1 if len(matched) == len(spans) else 0)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -335,8 +337,8 @@ def test_monotonicity_and_idempotence():
         relevant = set(rng.sample(pool, rng.randint(1, min(8, len(pool)))))
         prev_hit, prev_ic, prev_recall = 0, 0.0, 0.0
         for k in range(1, 13):
-            hit = hit_at_k(texts, spans, k)
-            coverage = info_coverage_at_k(texts, spans, k)
+            hit = hit_at_k(evidence_ranks(texts, spans), k)
+            coverage = info_coverage_at_k(evidence_ranks(texts, spans), k)
             recall = precision_recall_at_k(pool, relevant, k)[1]
             assert hit >= prev_hit
             assert coverage >= prev_ic
@@ -372,11 +374,11 @@ def test_coverage_counts_distinct_spans():
     # three gold spans; first passage matches e1, second matches e1 AND e2
     texts = ["context with spanone inside", "both spanone and spantwo inside", "empty"]
     spans = ["spanone", "spantwo", "spanthree"]
-    assert info_coverage_at_k(texts, spans, 1) == 1 / 3
-    assert info_coverage_at_k(texts, spans, 2) == 2 / 3
-    assert info_coverage_at_k(texts, spans, 3) == 2 / 3
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 1) == 1 / 3
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 2) == 2 / 3
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 3) == 2 / 3
     # the doubly-matched span never counts twice
-    assert info_coverage_at_k(["spanone spantwo", "spanone"], spans, 2) == 2 / 3
+    assert info_coverage_at_k(evidence_ranks(["spanone spantwo", "spanone"], spans), 2) == 2 / 3
 
 
 # --- criterion 7 ---------------------------------------------------------------

@@ -389,6 +389,8 @@ def test_cli_reader_finds_what_the_writer_wrote(tmp_path, key, name, writer, rea
     assert main(["run", *moved]) == 0
     assert main([writer, *moved]) == 0
     assert (tmp_path / "elsewhere" / name).exists()
+    if key == "report":  # the plot data sits beside the report it is drawn from
+        assert (tmp_path / "elsewhere" / "plots" / "hit_at_k.tsv").exists()
     # the manifest sits beside the traces it describes
     assert (tmp_path / ("elsewhere" if key == "traces" else "out") / "manifest.json").exists()
     assert main([reader, *moved]) == 0
@@ -553,6 +555,33 @@ def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
     assert main(["eval", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "traces.jsonl: line 2" in err
+
+
+def test_cli_eval_names_the_query_whose_passage_left_the_corpus(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    corpus_path = tmp_path / "corpus.jsonl"
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(True)
+    corpus_path.write_text("".join(line for line in lines if '"p2b"' not in line), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: query q2: passage 'p2b' is not in the corpus\n"
+
+
+def _drop_per_query(blob):
+    return json.dumps({k: v for k, v in json.loads(blob).items() if k != "per_query"}).encode()
+
+
+@pytest.mark.parametrize("damage", [lambda blob: blob[:-40], _drop_per_query], ids=["truncated", "no-per-query"])
+def test_cli_report_malformed_report_is_an_input_error(tmp_path, capsys, damage):
+    config_path = build_workspace(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["eval", "--config", str(config_path)]) == 0
+    report_path = tmp_path / "out" / "report.json"
+    report_path.write_bytes(damage(report_path.read_bytes()))
+    capsys.readouterr()
+    assert main(["report", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report_path}: not a metrics report: ")
 
 
 def test_cli_select_listwise_keeps_what_run_keeps(tmp_path, capsys):
@@ -721,6 +750,7 @@ def test_fixture_outputs_are_pinned(tmp_path):
     config = ["--config", str(FIXTURES / "config.json")]
     # relative paths resolve against the config's directory, so every output path is absolute
     assert main(["run", *config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert main(["eval", *config, "--output-dir", str(tmp_path / "run")]) == 0
     teacher = ["--set", f"selection_backend.transcript={FIXTURES / 'distill_transcript.jsonl'}"]
     for name, variants in (("plain", "[]"), ("variants", '["cot","selection_only"]')):
         out = ["--output-dir", str(tmp_path / name), "--set", f"distill.variants={variants}"]
@@ -730,6 +760,9 @@ def test_fixture_outputs_are_pinned(tmp_path):
         return hashlib.sha256(tmp_path.joinpath(*parts).read_bytes()).hexdigest()
 
     assert digest("run", "traces.jsonl") == "239d6f7af5e75a1d4aed680185f00d58b9af890ee9d1b46e97d5f5767b5b9be8"
+    assert digest("run", "report.json") == "17544a80ea87655de51a7ec9afc6ab12b1a64262f93f694777a835de0fb479e6"
+    assert digest("run", "plots", "hit_at_k.tsv") == "aeccbf543b9672e134472bb50f166b4af37431163fee221879a3a4d3d008df8f"
+    assert digest("run", "plots", "ic_at_k.tsv") == "ec80e072efae45f79c88b1f9d810dc06c17167388a2e5e35baedeb1b1ab64b08"
     assert digest("plain", "distill.jsonl") == "873bb4360e766521e07010166fc2f20ae2373f29c2e807b580fb77f9aa19342c"
     assert digest("variants", "distill.jsonl") == "d48d6ac35c7ee6316351a108cd92d2a2be207c2e1592ae29e1c62f6b4d9c7a06"
     for name in ("plain", "variants"):

@@ -18,7 +18,7 @@ from ragsel.metrics import (
     containment_accuracy,
     evaluate_trace,
     evaluate_traces,
-    evidence_match,
+    evidence_ranks,
     hit_at_k,
     info_coverage_at_k,
     judge_relevance,
@@ -136,47 +136,57 @@ def test_rank_metrics_match_brute_force():
 
 
 def test_evidence_match_normalization():
-    assert evidence_match("The  Quick\nBrown Fox", "quick brown")
-    assert evidence_match("plain words", "PLAIN WORDS")
-    assert not evidence_match("plain words", "missing")
+    assert evidence_ranks(["The  Quick\nBrown Fox"], ["quick brown"]) == [1]
+    assert evidence_ranks(["plain words"], ["PLAIN WORDS"]) == [1]
+    assert evidence_ranks(["plain words"], ["missing"]) == [None]
     with pytest.raises(MetricsError):
-        evidence_match("text", "   ")
+        evidence_ranks(["text"], ["   "])
+
+
+def test_evidence_ranks_first_match_per_distinct_span():
+    texts = ["nothing", "beta here", "alpha and beta"]
+    assert evidence_ranks(texts, ["alpha", "beta", "alpha", "gamma"]) == [3, 2, None]
+    assert evidence_ranks([], ["alpha"]) == [None]
+    assert evidence_ranks(texts, []) == []
+    # an empty span is rejected even when there are no passages to match
+    with pytest.raises(MetricsError):
+        evidence_ranks([], ["alpha", " "])
 
 
 def test_info_coverage_overlap_counts_once():
     texts = ["has alpha and beta", "has beta only", "has gamma"]
     spans = ["alpha", "beta", "gamma"]
-    assert info_coverage_at_k(texts, spans, 1) == pytest.approx(2 / 3)
-    assert info_coverage_at_k(texts, spans, 2) == pytest.approx(2 / 3)
-    assert info_coverage_at_k(texts, spans, 3) == pytest.approx(1.0)
-    assert info_coverage_at_k(texts, [], 3) is None
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 1) == pytest.approx(2 / 3)
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 2) == pytest.approx(2 / 3)
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 3) == pytest.approx(1.0)
+    assert info_coverage_at_k(evidence_ranks(texts, []), 3) is None
 
 
 def test_info_coverage_partial_then_full():
     # one span in the top passage, a second appears at rank 2
     texts = ["alpha here", "beta here", "nothing"]
     spans = ["alpha", "beta", "gamma"]
-    assert info_coverage_at_k(texts, spans, 1) == pytest.approx(1 / 3)
-    assert info_coverage_at_k(texts, spans, 2) == pytest.approx(2 / 3)
-    assert info_coverage_at_k(texts, spans, 9) == pytest.approx(2 / 3)
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 1) == pytest.approx(1 / 3)
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 2) == pytest.approx(2 / 3)
+    assert info_coverage_at_k(evidence_ranks(texts, spans), 9) == pytest.approx(2 / 3)
 
 
 def test_info_coverage_duplicate_spans_deduped():
     texts = ["alpha"]
-    assert info_coverage_at_k(texts, ["alpha", "alpha"], 1) == pytest.approx(1.0)
+    assert info_coverage_at_k(evidence_ranks(texts, ["alpha", "alpha"]), 1) == pytest.approx(1.0)
 
 
 def test_hit_modes():
     texts = ["alpha here", "beta here"]
     spans = ["alpha", "beta", "gamma"]
-    assert hit_at_k(texts, spans, 1, "any") == 1
-    assert hit_at_k(texts, spans, 2, "any") == 1
-    assert hit_at_k(["nothing"], spans, 1, "any") == 0
-    assert hit_at_k(texts, spans, 2, "all") == 0
-    assert hit_at_k(texts, ["alpha", "beta"], 2, "all") == 1
-    assert hit_at_k(texts, [], 2) is None
+    assert hit_at_k(evidence_ranks(texts, spans), 1, "any") == 1
+    assert hit_at_k(evidence_ranks(texts, spans), 2, "any") == 1
+    assert hit_at_k(evidence_ranks(["nothing"], spans), 1, "any") == 0
+    assert hit_at_k(evidence_ranks(texts, spans), 2, "all") == 0
+    assert hit_at_k(evidence_ranks(texts, ["alpha", "beta"]), 2, "all") == 1
+    assert hit_at_k(evidence_ranks(texts, []), 2) is None
     with pytest.raises(MetricsError):
-        hit_at_k(texts, spans, 1, "most")
+        hit_at_k(evidence_ranks(texts, spans), 1, "most")
 
 
 def test_hit_and_coverage_monotone_in_k():
@@ -187,11 +197,79 @@ def test_hit_and_coverage_monotone_in_k():
         spans = rng.sample(vocab, rng.randint(1, 4))
         prev_hit, prev_ic = 0, 0.0
         for k in range(1, len(texts) + 2):
-            hit = hit_at_k(texts, spans, k)
-            ic = info_coverage_at_k(texts, spans, k)
+            hit = hit_at_k(evidence_ranks(texts, spans), k)
+            ic = info_coverage_at_k(evidence_ranks(texts, spans), k)
             assert hit >= prev_hit
             assert ic >= prev_ic - 1e-15
             prev_hit, prev_ic = hit, ic
+
+
+# Reference definitions with no shared work: each k checks every distinct
+# span against each of the top k passages. evaluate_trace must agree exactly.
+
+
+def reference_match(passage_text, span):
+    span_norm = " ".join(span.lower().split())
+    if not span_norm:
+        raise MetricsError("evidence span must be non-empty")
+    return span_norm in " ".join(passage_text.lower().split())
+
+
+def reference_matched(texts, spans):
+    return {i for i, span in enumerate(spans) if any(reference_match(t, span) for t in texts)}
+
+
+def reference_ic(texts, evidence, k):
+    spans = list(dict.fromkeys(evidence))
+    return len(reference_matched(texts[:k], spans)) / len(spans) if spans else None
+
+
+def reference_hit(texts, evidence, k, mode):
+    spans = list(dict.fromkeys(evidence))
+    if not spans:
+        return None
+    matched = reference_matched(texts[:k], spans)
+    return int(bool(matched)) if mode == "any" else int(len(matched) == len(spans))
+
+
+def reference_relevant(evidence, candidates):
+    return {p.id for p in candidates if any(reference_match(p.text, span) for span in evidence)}
+
+
+def test_evidence_scores_equal_the_reference_definitions():
+    rng = random.Random(8)
+    words = ["alpha", "Beta", "gamma", "DELTA", "eps"]
+    # spans that differ from each other only in case or whitespace
+    variants = ["alpha beta", "Alpha  Beta", "ALPHA\tbeta", "gamma", "GAMMA", "delta eps", "zeta"]
+
+    def text():
+        return "".join(rng.choice(words) + rng.choice([" ", "  ", "\n"]) for _ in range(rng.randint(1, 9)))
+
+    for trial in range(400):
+        passages = [Passage(id=f"p{i}", doc_id="d", text=text()) for i in range(rng.randint(0, 8))]
+        evidence = tuple(rng.choices(variants, k=rng.randint(0, 5)))  # duplicates included
+        if trial % 5 == 0 and passages:  # one span matched by several passages
+            evidence += (passages[0].text.split()[0],) * 2
+            passages.append(Passage(id="px", doc_id="d", text=passages[0].text.upper()))
+        store = PassageStore(passages)
+        ids = [p.id for p in passages]
+        selected = rng.sample(ids, rng.randint(0, len(ids)))
+        texts = [store.get(pid).text for pid in selected]
+        trace = QueryTrace(
+            question=question("q", golds=("x",), evidence=evidence),
+            candidates=CandidateList("q", "bm25", [Candidate(pid, 1.0) for pid in ids]),
+            selection=outcome(range(1, len(selected) + 1)),
+            selected_ids=selected,
+            answer="x",
+        )
+        for mode in ("any", "all"):
+            cfg = MetricsConfig(hit_mode=mode, max_k=10)  # k runs past every selection
+            row = evaluate_trace(trace, store, cfg)
+            for k in range(1, 11):
+                assert row[f"hit@{k}"] == reference_hit(texts, evidence, k, mode)
+                assert row[f"ic@{k}"] == reference_ic(texts, evidence, k)
+        judgment = judge_relevance(trace.question, passages)
+        assert judgment.relevant_ids == (reference_relevant(evidence, passages) if evidence else set())
 
 
 # --- answer metrics ------------------------------------------------------------
