@@ -38,7 +38,6 @@ from .retrieval import (
     search,
 )
 from .selection import (
-    SELECTION_STRATEGIES,
     SelectionError,
     SelectionOutcome,
     Strategy,
@@ -69,7 +68,6 @@ __all__ = [
     "QueryTrace",
     "QuestionRecord",
     "RetrievalError",
-    "SELECTION_STRATEGIES",
     "SelectionError",
     "SelectionOutcome",
     "Strategy",

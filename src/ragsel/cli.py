@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, load_corpus, load_questions
-from .distill import DistillError, run_labeling
+from .distill import VARIANTS, DistillError, run_labeling
 from .files import write_jsonl
 from .gateway import (
     ApiError,
@@ -70,7 +70,6 @@ RETRIEVER_KINDS = (Bm25Retriever.name, DenseRetriever.name)
 BACKEND_KINDS = ("transcript", "http")
 BACKEND_SECTIONS = ("selection_backend", "generation_backend", "embedding_backend")
 HTTP_SETTINGS = ("api_key_env", "timeout", "max_attempts", "backoff_base")
-DISTILL_VARIANTS = (Strategy.COT.value, Strategy.SELECTION_ONLY.value)
 
 
 class ConfigError(ValueError):
@@ -197,6 +196,8 @@ def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) ->
                 file_cfg = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("--config", f"no such file: {path}")
+        except UnicodeDecodeError:
+            raise ConfigError("--config", f"{path} is not UTF-8")
         except json.JSONDecodeError as exc:
             raise ConfigError("--config", f"invalid JSON in {path}: {exc}")
         if not isinstance(file_cfg, dict):
@@ -252,7 +253,7 @@ def validate_config(cfg: dict) -> None:
     for field, allowed in choices:
         _expect(_lookup(cfg, field) in allowed, field, f"must be one of {list(allowed)}")
     for v in cfg["distill"]["variants"]:
-        _expect(v in DISTILL_VARIANTS, "distill.variants", f"must be among {list(DISTILL_VARIANTS)}")
+        _expect(v in VARIANTS, "distill.variants", f"must be among {[s.value for s in VARIANTS]}")
     positive = (
         "retriever.k", "concurrency", "rerank_truncate",
         "metrics.rank_k", "metrics.pr_k", "metrics.max_k", "distill.expected_candidates",
@@ -627,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, DistillError, MetricsError, PipelineError, RetrievalError, SelectionError,
-            TranscriptError, TranscriptMissError, TransportError, ApiError, FileNotFoundError) as exc:
+            TranscriptError, TranscriptMissError, TransportError, ApiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

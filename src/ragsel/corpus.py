@@ -1,8 +1,9 @@
 """Corpus and question file ingestion.
 
 Line-delimited JSON in, normalized in-memory records out. All text fields go
-through :func:`fix_text`; passage bodies additionally get bracketed numeric
-ids rewritten so that prompt-side ``[i]`` markers stay unambiguous.
+through :func:`fix_text`; passage bodies (and labeling candidates, which
+``distill`` cleans by the same rule) additionally get bracketed numeric ids
+rewritten so that prompt-side ``[i]`` markers stay unambiguous.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import Iterable, Iterator
 
 from .files import iter_jsonl
 
-# Controls except newline/tab; tab is handled by the whitespace collapse.
+# Controls except newline/tab; both are handled by the whitespace collapse.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
-_WS_RE = re.compile(r"\s+")
 _BRACKET_NUM_RE = re.compile(r"\[(\d+)\]")
 # Sentence boundary: terminal punctuation followed by whitespace.
 _SENT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -35,10 +35,9 @@ def fix_text(raw: str) -> str:
 
     Idempotent and total; never raises on str input.
     """
-    text = unicodedata.normalize("NFC", raw)
-    text = _CONTROL_RE.sub(" ", text)
-    text = _WS_RE.sub(" ", text)
-    return text.strip()
+    text = _CONTROL_RE.sub(" ", unicodedata.normalize("NFC", raw))
+    # split() with no separator splits on every Unicode whitespace run and drops the ends
+    return " ".join(text.split())
 
 
 def rewrite_bracket_ids(text: str) -> str:
@@ -174,10 +173,7 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
             if not isinstance(title, str):
                 raise CorpusError(f"{path}: line {lineno}: field 'title' must be a string")
             title = fix_text(title) or None
-        if chunk_limit is not None and word_count(text) > chunk_limit:
-            pieces = chunk_text(text, chunk_limit)
-        else:
-            pieces = [text]
+        pieces = [text] if chunk_limit is None else chunk_text(text, chunk_limit)
         for n, piece in enumerate(pieces):
             piece_id = pid if len(pieces) == 1 else f"{pid}#{n}"
             if piece_id in seen:

@@ -30,13 +30,16 @@ from .gateway import (
     user_request,
 )
 from .selection import (
-    SELECTION_STRATEGIES,
     SelectionOutcome,
     Strategy,
     read_selection,
     render_prompt,
     split_selection,
 )
+
+
+# the prompt styles an accepted selection is re-rendered in, besides the teacher's own
+VARIANTS = (Strategy.COT, Strategy.SELECTION_ONLY)
 
 
 class DistillError(ValueError):
@@ -61,33 +64,42 @@ class LabelingStats:
     teacher_usage: Usage = ZERO_USAGE
 
 
+def _text(record: dict, key: str, where: str) -> str:
+    """``record[key]``, absent read as empty; any other non-string is an input error."""
+    value = record.get(key, "")
+    if not isinstance(value, str):
+        raise DistillError(f"{where}: field {key!r} must be a string, not {type(value).__name__}")
+    return value
+
+
 def load_label_queries(path: str | Path) -> list[LabelQuery]:
     """Parse the labeling input: JSONL of {id, question, candidates}.
 
-    Candidate text goes through the same cleanup as corpus passages so
+    Candidate text is cleaned the way ``load_corpus`` cleans a passage, so
     prompts never carry stray bracketed numbers or control characters.
     """
     queries: list[LabelQuery] = []
     seen: set[str] = set()
     for lineno, record in iter_jsonl(path, DistillError):
+        where = f"{path}: line {lineno}"
         qid = record.get("id")
-        question = fix_text(str(record.get("question", "")))
-        candidates = record.get("candidates")
         if not isinstance(qid, str) or not qid:
-            raise DistillError(f"{path}: line {lineno}: missing query id")
+            raise DistillError(f"{where}: missing query id")
         if qid in seen:
-            raise DistillError(f"{path}: line {lineno}: duplicate query id: {qid!r}")
+            raise DistillError(f"{where}: duplicate query id: {qid!r}")
+        question = fix_text(_text(record, "question", where))
         if not question:
-            raise DistillError(f"{path}: line {lineno}: empty question for {qid!r}")
+            raise DistillError(f"{where}: empty question for {qid!r}")
+        candidates = record.get("candidates")
         if not isinstance(candidates, list) or not candidates:
-            raise DistillError(f"{path}: line {lineno}: no candidates for {qid!r}")
+            raise DistillError(f"{where}: no candidates for {qid!r}")
         texts = []
         for c in candidates:
             if not isinstance(c, dict):
-                raise DistillError(f"{path}: line {lineno}: candidate is not an object for {qid!r}")
-            text = fix_text(rewrite_bracket_ids(str(c.get("text", ""))))
+                raise DistillError(f"{where}: candidate is not an object for {qid!r}")
+            text = rewrite_bracket_ids(fix_text(_text(c, "text", where)))
             if not text:
-                raise DistillError(f"{path}: line {lineno}: empty candidate text for {qid!r}")
+                raise DistillError(f"{where}: empty candidate text for {qid!r}")
             texts.append(text)
         seen.add(qid)
         queries.append(LabelQuery(id=qid, question=question, candidate_texts=tuple(texts)))
@@ -174,11 +186,12 @@ def run_labeling(
     failures are rejected but never checkpointed, so the next run retries
     them; parse failures are final. ``limit`` caps how many new queries
     this call processes. ``retries`` re-asks the teacher that many extra
-    times when a completion fails to parse.
+    times when a completion fails to parse. ``variants`` are drawn from
+    ``VARIANTS``.
     """
     for variant in variants:
-        if variant not in SELECTION_STRATEGIES:
-            raise DistillError(f"not a selection strategy: {variant.value}")
+        if variant not in VARIANTS:
+            raise DistillError(f"not a labeling variant: {variant.value} (variants: {', '.join(VARIANTS)})")
     output_path = Path(output_path)
     checkpoint_path = Path(checkpoint_path)
     rejects_path = output_path.with_name(output_path.name + ".rejects.jsonl")

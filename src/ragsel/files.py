@@ -13,10 +13,14 @@ from typing import Iterable, Iterator
 
 
 def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; a line that is not a
-    JSON object raises ``error`` naming the path and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """(line number, object) for each non-blank line; a line that is not
+    UTF-8 or not a JSON object raises ``error`` naming the path and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}: line {lineno}: not UTF-8") from None
             if not line.strip():
                 continue
             try:

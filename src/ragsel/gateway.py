@@ -24,6 +24,8 @@ from .files import appending, iter_jsonl
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+MAX_INFLIGHT = 8  # concurrent requests per HttpClient
+TEMPERATURE = 0.0  # every chat call is greedy, so a replay asks what the recording asked
 
 
 class TransportError(RuntimeError):
@@ -82,7 +84,6 @@ def estimate_tokens(text: str) -> int:
 class ChatRequest:
     model: str
     messages: tuple[dict, ...]
-    temperature: float = 0.0
     max_tokens: int | None = None
 
     def __post_init__(self):
@@ -93,8 +94,6 @@ class ChatRequest:
         for m in self.messages:
             if "role" not in m or "content" not in m:
                 raise ValueError("every message needs 'role' and 'content'")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
 
 
 def user_request(model: str, content: str, max_tokens: int | None = None) -> ChatRequest:
@@ -119,7 +118,7 @@ def text_fingerprint(model: str, text: str) -> str:
     return request_fingerprint(model, [{"role": "user", "content": text}])
 
 
-def _with_retries(call, max_attempts: int, backoff_base: float, sleep=time.sleep):
+def _with_retries(call, max_attempts: int, backoff_base: float):
     """Run ``call`` with retries on transport errors and retryable statuses.
 
     ``call`` returns a requests.Response; a response with a non-retryable
@@ -129,7 +128,7 @@ def _with_retries(call, max_attempts: int, backoff_base: float, sleep=time.sleep
     last_status: int | None = None
     for attempt in range(max_attempts):
         if attempt:
-            sleep(backoff_base * (2 ** (attempt - 1)))
+            time.sleep(backoff_base * (2 ** (attempt - 1)))
         try:
             response = call()
         except requests.RequestException as exc:
@@ -158,14 +157,13 @@ class HttpClient:
         timeout: float = 60.0,
         max_attempts: int = 3,
         backoff_base: float = 1.0,
-        max_inflight: int = 8,
     ):
         self.endpoint = endpoint.rstrip("/")
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._semaphore = threading.Semaphore(max_inflight)
+        self._semaphore = threading.Semaphore(MAX_INFLIGHT)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -212,7 +210,7 @@ class HttpChatBackend(HttpClient):
         payload: dict = {
             "model": request.model,
             "messages": list(request.messages),
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
         }
         if request.max_tokens is not None:
             payload["max_tokens"] = request.max_tokens

@@ -9,7 +9,6 @@ fallback takes the leading candidates in retrieval order.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +18,6 @@ from typing import Sequence
 
 from .corpus import rewrite_bracket_ids
 from .gateway import Usage, user_request
-
-logger = logging.getLogger(__name__)
 
 SELECTION_MARKER = "### Final Selection:"
 
@@ -40,9 +37,6 @@ class Strategy(str, Enum):
     COT = "cot"
     SELECTION_ONLY = "selection_only"
     LISTWISE_RERANK = "listwise_rerank"
-
-
-SELECTION_STRATEGIES = (Strategy.REQUIREMENT_COT, Strategy.COT, Strategy.SELECTION_ONLY)
 
 
 class SelectionError(ValueError):
@@ -124,14 +118,8 @@ def parse_ranking(text: str) -> list[int] | None:
 
 
 def sanitize_indices(indices: Sequence[int], num_candidates: int) -> list[int]:
-    """Drop out-of-range indices (keeping order); each drop is logged."""
-    kept = []
-    for idx in indices:
-        if 1 <= idx <= num_candidates:
-            kept.append(idx)
-        else:
-            logger.warning("dropping out-of-range index %d (candidates: %d)", idx, num_candidates)
-    return kept
+    """Drop out-of-range indices, keeping order."""
+    return [idx for idx in indices if 1 <= idx <= num_candidates]
 
 
 def fallback_indices(num_candidates: int) -> list[int]:

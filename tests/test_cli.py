@@ -658,6 +658,30 @@ def test_cli_missing_input_paths(tmp_path, capsys):
     assert "paths.corpus" in capsys.readouterr().err
 
 
+def test_cli_input_path_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    assert main(["index", "--config", str(config_path), "--set", f"paths.corpus={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("name", ["corpus.jsonl", "questions.jsonl", "chat.jsonl"])
+def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, name):
+    config_path = build_workspace(tmp_path)
+    path = tmp_path / name
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b'\n{"id": "caf\xe9"}\n' + rest)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8\n"
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config_path = tmp_path / "latin1.json"
+    config_path.write_bytes(b'{"strategy": "caf\xe9"}')
+    assert main(["config", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: --config: {config_path} is not UTF-8\n"
+
+
 # --- distill command ---------------------------------------------------------------
 
 

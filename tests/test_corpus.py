@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import string
+import unicodedata
 
 import pytest
 
@@ -46,6 +48,30 @@ def test_fix_text_idempotent_on_random_unicode():
         assert fix_text(once) == once
         assert once == once.strip()
         assert "\x00" not in once and "\x7f" not in once
+
+
+_REF_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
+_REF_WS_RE = re.compile(r"\s+")
+
+
+def _reference_fix_text(raw):
+    """The regex form of the cleaning rule: NFC, controls to spaces, each
+    whitespace run to one space, trimmed."""
+    text = _REF_CONTROL_RE.sub(" ", unicodedata.normalize("NFC", raw))
+    return _REF_WS_RE.sub(" ", text).strip()
+
+
+def test_fix_text_equals_the_regex_reference():
+    whitespace = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+    whitespace += "\u2028\u2029\u202f\u205f\u3000 "
+    look_alikes = "\u200b\ufeff\u180e"  # not whitespace to either rule
+    controls = "\x00\x07\x08\x1b\x7f\x80\x9f"
+    marks = "\u0301\u0327\u0308\u20dd"  # combining: NFC composes e + U+0301
+    pool = whitespace + look_alikes + controls + marks + "[]()0123456789aeéAZ世"
+    rng = random.Random(2507)
+    for _ in range(100_000):
+        raw = "".join(rng.choices(pool, k=rng.randrange(0, 24)))
+        assert fix_text(raw) == _reference_fix_text(raw), repr(raw)
 
 
 def test_rewrite_bracket_ids_examples():

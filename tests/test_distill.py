@@ -87,6 +87,12 @@ def test_load_label_queries_cleans_text(tmp_path):
         ({"id": "q1", "question": "", "candidates": [{"id": "c", "text": "t"}]}, "empty question"),
         ({"id": "q1", "question": "q", "candidates": []}, "no candidates"),
         ({"id": "q1", "question": "q", "candidates": [{"id": "c", "text": "  "}]}, "empty candidate text"),
+        ({"id": "q1", "question": None, "candidates": [{"text": "t"}]}, "'question' must be a string"),
+        ({"id": "q1", "question": 42, "candidates": [{"text": "t"}]}, "'question' must be a string"),
+        ({"id": "q1", "question": ["q"], "candidates": [{"text": "t"}]}, "'question' must be a string"),
+        ({"id": "q1", "question": "q", "candidates": [{"text": None}]}, "'text' must be a string"),
+        ({"id": "q1", "question": "q", "candidates": [{"text": "t"}, {"text": 42}]}, "'text' must be a string"),
+        ({"id": "q1", "question": "q", "candidates": [{"text": ["t"]}]}, "'text' must be a string"),
     ],
 )
 def test_load_label_queries_validation(tmp_path, record, fragment):
@@ -382,8 +388,10 @@ def test_run_labeling_record_shape(tmp_path):
 
 def test_run_labeling_rejects_bad_variants_before_any_work(tmp_path):
     teacher = ScriptedTeacher({"kw1 ": ["no selection line"]})
-    with pytest.raises(DistillError, match="not a selection strategy: listwise_rerank"):
-        run(tmp_path, teacher, n=2, variants=(Strategy.LISTWISE_RERANK,))
+    # requirement_cot is the teacher's own prompt: as a variant it would write each record twice
+    for variant in (Strategy.LISTWISE_RERANK, Strategy.REQUIREMENT_COT):
+        with pytest.raises(DistillError, match=f"not a labeling variant: {variant.value} "):
+            run(tmp_path, teacher, n=2, variants=(Strategy.COT, variant))
     assert teacher.calls == []
     for name in ("out.jsonl", "out.jsonl.rejects.jsonl", "ck.txt"):
         assert not (tmp_path / name).exists()

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from ragsel.files import appending, cut_lines, replace_atomically, write_json, write_jsonl
+from ragsel.files import appending, cut_lines, iter_jsonl, replace_atomically, write_json, write_jsonl
 
 
 def _failing_records():
@@ -74,6 +74,12 @@ def test_appending_mends_a_last_line_without_newline(tmp_path, caplog, before, a
         assert path.read_bytes() == after
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == ([f"{path}: cut a torn last line of {cut} bytes"] if cut else [])
+
+
+def test_iter_jsonl_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b'{"n": 1}\r\n\r\n{"t": "\xc3\xa9"}\r\n')
+    assert list(iter_jsonl(path, ValueError)) == [(1, {"n": 1}), (3, {"t": "é"})]
 
 
 def test_cut_lines(tmp_path):

@@ -160,7 +160,6 @@ def test_select_happy_path_records_everything():
     assert outcome.usage == Usage(40, 12)
     assert outcome.strategy is Strategy.REQUIREMENT_COT
     sent = backend.requests[0]
-    assert sent.temperature == 0.0
     assert sent.model == "m"
     assert "I will provide you with 3 passages" in sent.messages[0]["content"]
 
