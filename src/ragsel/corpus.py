@@ -35,7 +35,9 @@ def fix_text(raw: str) -> str:
 
     Idempotent and total; never raises on str input.
     """
-    text = _CONTROL_RE.sub(" ", unicodedata.normalize("NFC", raw))
+    text = unicodedata.normalize("NFC", raw)
+    if not text.isprintable():  # every code point _CONTROL_RE matches is non-printable
+        text = _CONTROL_RE.sub(" ", text)
     # split() with no separator splits on every Unicode whitespace run and drops the ends
     return " ".join(text.split())
 
@@ -45,7 +47,7 @@ def rewrite_bracket_ids(text: str) -> str:
 
     Non-numeric bracket contents are left alone. Idempotent.
     """
-    return _BRACKET_NUM_RE.sub(r"(\1)", text)
+    return _BRACKET_NUM_RE.sub(r"(\1)", text) if "[" in text else text
 
 
 def split_sentences(text: str) -> list[str]:

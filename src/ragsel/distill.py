@@ -226,7 +226,10 @@ def run_labeling(
         appending(checkpoint_path) as commit,
         ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool,
     ):
-        done = {line.strip() for line in checkpoint_path.read_text(encoding="utf-8").split("\n")} - {""}
+        try:
+            done = {line.strip() for line in checkpoint_path.read_text(encoding="utf-8").split("\n")} - {""}
+        except UnicodeDecodeError:
+            raise DistillError(f"{checkpoint_path}: not UTF-8") from None
         done |= _existing_output_ids(output_path, done)
         pending = [q for q in queries if q.id not in done]
         stats = LabelingStats(skipped=len(queries) - len(pending))

@@ -9,6 +9,7 @@ fallback takes the leading candidates in retrieval order.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -43,8 +44,9 @@ class SelectionError(ValueError):
     pass
 
 
+@functools.cache
 def load_template(name: str, templates_dir: str | Path | None = None) -> str:
-    """Load a prompt template by name; a file in templates_dir overrides."""
+    """Load a prompt template by name, once per process; a file in templates_dir overrides."""
     filename = f"{name}.txt"
     if templates_dir is not None:
         override = Path(templates_dir) / filename

@@ -665,14 +665,19 @@ def test_cli_input_path_that_is_a_directory_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
-@pytest.mark.parametrize("name", ["corpus.jsonl", "questions.jsonl", "chat.jsonl"])
+@pytest.mark.parametrize("name", ["corpus.jsonl", "questions.jsonl", "chat.jsonl", "out/distill.jsonl.checkpoint"])
 def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, name):
-    config_path = build_workspace(tmp_path)
     path = tmp_path / name
-    first, rest = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(first + b'\n{"id": "caf\xe9"}\n' + rest)
-    assert main(["run", "--config", str(config_path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8\n"
+    if name.endswith(".checkpoint"):  # a list of ids, not JSON Lines
+        command, config_path, where = "distill", build_distill_workspace(tmp_path), ""
+        path.parent.mkdir()
+        path.write_bytes(b"q\xe9\n")
+    else:
+        command, config_path, where = "run", build_workspace(tmp_path), "line 2: "
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b'\n{"id": "caf\xe9"}\n' + rest)
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {where}not UTF-8\n"
 
 
 def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

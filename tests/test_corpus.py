@@ -6,6 +6,7 @@ import unicodedata
 
 import pytest
 
+from ragsel import corpus
 from ragsel.corpus import (
     CorpusError,
     Passage,
@@ -52,6 +53,7 @@ def test_fix_text_idempotent_on_random_unicode():
 
 _REF_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
 _REF_WS_RE = re.compile(r"\s+")
+_REF_BRACKET_NUM_RE = re.compile(r"\[(\d+)\]")
 
 
 def _reference_fix_text(raw):
@@ -61,17 +63,42 @@ def _reference_fix_text(raw):
     return _REF_WS_RE.sub(" ", text).strip()
 
 
-def test_fix_text_equals_the_regex_reference():
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def sub(self, *args):
+        self.calls += 1
+        return self.pattern.sub(*args)
+
+
+def test_fix_text_equals_the_regex_reference(monkeypatch):
     whitespace = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
     whitespace += "\u2028\u2029\u202f\u205f\u3000 "
     look_alikes = "\u200b\ufeff\u180e"  # not whitespace to either rule
     controls = "\x00\x07\x08\x1b\x7f\x80\x9f"
     marks = "\u0301\u0327\u0308\u20dd"  # combining: NFC composes e + U+0301
     pool = whitespace + look_alikes + controls + marks + "[]()0123456789aeéAZ世"
+    # each regex may be skipped only on text without its trigger; the results say whether the skip was sound
+    control_re = _CountingPattern(corpus._CONTROL_RE)
+    bracket_re = _CountingPattern(corpus._BRACKET_NUM_RE)
+    monkeypatch.setattr(corpus, "_CONTROL_RE", control_re)
+    monkeypatch.setattr(corpus, "_BRACKET_NUM_RE", bracket_re)
+    skipped = triggered = 0
     rng = random.Random(2507)
     for _ in range(100_000):
         raw = "".join(rng.choices(pool, k=rng.randrange(0, 24)))
+        calls = control_re.calls, bracket_re.calls
         assert fix_text(raw) == _reference_fix_text(raw), repr(raw)
+        assert rewrite_bracket_ids(raw) == _REF_BRACKET_NUM_RE.sub(r"(\1)", raw), repr(raw)
+        printable = unicodedata.normalize("NFC", raw).isprintable()
+        if printable:
+            assert control_re.calls == calls[0], repr(raw)
+        if "[" not in raw:
+            assert bracket_re.calls == calls[1], repr(raw)
+        skipped += printable and "[" not in raw
+        triggered += bool(_REF_CONTROL_RE.search(raw) or _REF_BRACKET_NUM_RE.search(raw))
+    assert skipped >= 1000 and triggered >= 1000
 
 
 def test_rewrite_bracket_ids_examples():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,21 @@ def test_template_override_dir(tmp_path):
     assert prompt == "custom 1 why [1] t"
     # other templates still come from the package
     assert "Only respond" in load_template("selection_only", templates_dir=tmp_path)
+
+
+def test_templates_are_read_once_per_directory(tmp_path, monkeypatch):
+    one, two = tmp_path / "one", tmp_path / "two"
+    for directory, text in ((one, "first {context}"), (two, "second {context}")):
+        directory.mkdir()
+        (directory / "cot.txt").write_text(text, encoding="utf-8")
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: reads.append(self) or read_text(self, *a, **kw))
+    for _ in range(100):
+        assert render_prompt(Strategy.COT, "q", ["t"], templates_dir=one) == "first [1] t"
+    assert reads == [one / "cot.txt"]
+    assert render_prompt(Strategy.COT, "q", ["t"], templates_dir=two) == "second [1] t"
+    assert render_prompt(Strategy.COT, "q", ["t"], templates_dir=one) == "first [1] t"
 
 
 def test_unknown_template_errors():
