@@ -108,7 +108,6 @@ def default_config() -> dict:
             "report": None,
             "distill_input": None,
             "distill_output": None,
-            "distill_checkpoint": None,
         },
         "chunk_limit": DEFAULT_CHUNK_LIMIT,
         "retriever": {
@@ -135,7 +134,7 @@ def default_config() -> dict:
             "teacher_model": None,
             **{
                 key: _default(run_labeling, key)
-                for key in ("expected_candidates", "strict_count", "retries", "limit")
+                for key in ("expected_candidates", "retries", "limit")
             },
             "variants": list(_default(run_labeling, "variants")),
         },
@@ -256,7 +255,7 @@ def validate_config(cfg: dict) -> None:
         _expect(v in VARIANTS, "distill.variants", f"must be among {[s.value for s in VARIANTS]}")
     positive = (
         "retriever.k", "concurrency", "rerank_truncate",
-        "metrics.rank_k", "metrics.pr_k", "metrics.max_k", "distill.expected_candidates",
+        "metrics.rank_k", "metrics.pr_k", "metrics.max_k",
     )
     for field in positive:
         value = _lookup(cfg, field)
@@ -264,12 +263,10 @@ def validate_config(cfg: dict) -> None:
     r = cfg["retriever"]
     _expect(r["k1"] > 0, "retriever.k1", "must be positive")
     _expect(0.0 <= r["b"] <= 1.0, "retriever.b", "must be within [0, 1]")
-    limit = cfg["chunk_limit"]
-    _expect(
-        limit is None or (isinstance(limit, int) and limit >= 1),
-        "chunk_limit",
-        "must be a positive integer or null",
-    )
+    for field in ("chunk_limit", "distill.expected_candidates"):
+        value = _lookup(cfg, field)
+        ok = value is None or (isinstance(value, int) and value >= 1)
+        _expect(ok, field, "must be a positive integer or null")
     for section in BACKEND_SECTIONS:
         b = cfg[section]
         _expect(bool(b["model"]), f"{section}.model", "must be set")
@@ -517,7 +514,7 @@ def cmd_report(cfg: dict, args) -> int:
 def cmd_distill(cfg: dict, args) -> int:
     input_path = _require_path(cfg, "distill_input")
     output_path = _artifact_path(cfg, "distill_output", "distill.jsonl")
-    checkpoint_path = cfg["paths"].get("distill_checkpoint") or f"{output_path}.checkpoint"
+    rejects_path = output_path.with_name(output_path.name + ".rejects.jsonl")
     backend = build_backend(cfg, "selection_backend")
     d = cfg["distill"]
     model = d["teacher_model"] or cfg["selection_backend"]["model"]
@@ -526,9 +523,8 @@ def cmd_distill(cfg: dict, args) -> int:
         backend,
         model,
         output_path,
-        checkpoint_path,
+        rejects_path,
         expected_candidates=d["expected_candidates"],
-        strict_count=d["strict_count"],
         retries=d["retries"],
         limit=d["limit"],
         variants=tuple(Strategy(v) for v in d["variants"]),
@@ -546,6 +542,7 @@ def cmd_distill(cfg: dict, args) -> int:
         f"{stats.teacher_usage.completion_tokens} completion tokens"
     )
     print(f"records -> {output_path}")
+    print(f"rejects -> {rejects_path}")
     return 1 if stats.reject_reasons.get("transport") else 0
 
 

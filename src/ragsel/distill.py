@@ -6,8 +6,8 @@ same rules ``run`` applies to the selector's output. A completion that
 would fall back there is a reject here; any other becomes chat-format
 training records, one for the prompt the teacher saw and one per variant
 prompt style. Rejects go to a rejects file and never abort the run.
-Labeling is resumable: processed query ids go to a checkpoint file and are
-skipped on the next run.
+Labeling resumes from those two files: a query whose records group is whole,
+or whose reject is final, is skipped on the next run.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import fix_text, rewrite_bracket_ids
 from .files import appending, cut_lines, iter_jsonl
@@ -40,6 +42,9 @@ from .selection import (
 
 # the prompt styles an accepted selection is re-rendered in, besides the teacher's own
 VARIANTS = (Strategy.COT, Strategy.SELECTION_ONLY)
+
+# reject reasons a resume asks the teacher again for: no completion was consumed
+RETRIED_REASONS = ("transport", "candidate-count")
 
 
 class DistillError(ValueError):
@@ -148,21 +153,29 @@ def training_records(
     ]
 
 
-def _existing_output_ids(path: Path, committed: set[str]) -> set[str]:
-    """The records file's query ids. Its trailing group (the lines of its last id) is
-    cut unless ``committed`` has that id: a kill came before its checkpoint append."""
-    ids: set[str] = set()
-    last, first = None, 0
+def _query_lines(path: Path) -> Iterator[tuple[int, str, dict]]:
+    """(line number, query id, object) per line; a line without a string ``query_id`` is an input error."""
     for lineno, record in iter_jsonl(path, DistillError):
         if not isinstance(record.get("query_id"), str):
             raise DistillError(f"{path}: line {lineno}: missing string field 'query_id'")
-        if record["query_id"] != last:
-            last, first = record["query_id"], lineno
-        ids.add(last)
-    if last is not None and last not in committed:
-        cut_lines(path, first - 1)
-        ids.discard(last)
-    return ids
+        yield lineno, record["query_id"], record
+
+
+def _done_ids(records_path: Path, rejects_path: Path, strategies: list[str]) -> set[str]:
+    """The query ids a resume skips: each whose records group (its consecutive lines)
+    holds exactly ``strategies``, and each rejected for a reason not retried. A trailing
+    group that falls short is what a kill mid-append leaves; it is cut."""
+    rejects = _query_lines(rejects_path)
+    done = {qid for _, qid, reject in rejects if reject.get("reason") not in RETRIED_REASONS}
+    first, whole = 0, True
+    for qid, lines in groupby(_query_lines(records_path), key=itemgetter(1)):
+        lines = list(lines)
+        first, whole = lines[0][0], [record.get("strategy") for *_, record in lines] == strategies
+        if whole:
+            done.add(qid)
+    if not whole:
+        cut_lines(records_path, first - 1)
+    return done
 
 
 def run_labeling(
@@ -170,37 +183,35 @@ def run_labeling(
     backend,
     model: str,
     output_path: str | Path,
-    checkpoint_path: str | Path,
-    expected_candidates: int = 20,
-    strict_count: bool = True,
+    rejects_path: str | Path,
+    expected_candidates: int | None = 20,
     retries: int = 0,
     limit: int | None = None,
     variants: Sequence[Strategy] = (),
     concurrency: int = 4,
     templates_dir: str | Path | None = None,
 ) -> LabelingStats:
-    """Label every pending input query and append training records.
+    """Label every pending input query, appending its training records to
+    ``output_path`` or its reject to ``rejects_path``.
 
-    Already-processed ids (checkpoint union existing output) are skipped,
-    so an interrupted run resumes without duplicating records. Transport
-    failures are rejected but never checkpointed, so the next run retries
-    them; parse failures are final. ``limit`` caps how many new queries
-    this call processes. ``retries`` re-asks the teacher that many extra
-    times when a completion fails to parse. ``variants`` are drawn from
-    ``VARIANTS``.
+    A query already in the records with its whole group, or rejected for a
+    reason not in ``RETRIED_REASONS``, is skipped, so an interrupted run
+    resumes to the files an uninterrupted one writes; a resume must use the
+    same ``variants``. ``expected_candidates`` of ``None`` accepts any count.
+    ``limit`` caps how many new queries this call processes. ``retries``
+    re-asks the teacher that many extra times when a completion fails to
+    parse. ``variants`` are drawn from ``VARIANTS``.
     """
     for variant in variants:
         if variant not in VARIANTS:
             raise DistillError(f"not a labeling variant: {variant.value} (variants: {', '.join(VARIANTS)})")
-    output_path = Path(output_path)
-    checkpoint_path = Path(checkpoint_path)
-    rejects_path = output_path.with_name(output_path.name + ".rejects.jsonl")
+    output_path, rejects_path = Path(output_path), Path(rejects_path)
     queries = load_label_queries(input_path)
 
     def ask(query: LabelQuery):
         """Chat with parse-aware retries; returns ((prompt, outcome), reject, usage)."""
         num = len(query.candidate_texts)
-        if strict_count and num != expected_candidates:
+        if expected_candidates is not None and num != expected_candidates:
             return None, ("candidate-count", f"expected {expected_candidates} candidates, got {num}"), ZERO_USAGE
         prompt = render_prompt(Strategy.REQUIREMENT_COT, query.question, query.candidate_texts, templates_dir)
         usage = ZERO_USAGE
@@ -218,19 +229,15 @@ def run_labeling(
                 return None, ("empty-after-sanitize", completion[:200]), usage
         return None, ("no-marker", completion[:200]), usage
 
-    # each outcome is written and checkpointed as soon as it comes back, in
-    # input order, so an interrupt loses no completion already consumed
+    # each outcome is written as soon as it comes back, in input order, so an
+    # interrupt loses no completion already consumed
     with (
         appending(output_path) as append_records,
         appending(rejects_path) as append_reject,
-        appending(checkpoint_path) as commit,
         ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool,
     ):
-        try:
-            done = {line.strip() for line in checkpoint_path.read_text(encoding="utf-8").split("\n")} - {""}
-        except UnicodeDecodeError:
-            raise DistillError(f"{checkpoint_path}: not UTF-8") from None
-        done |= _existing_output_ids(output_path, done)
+        strategies = [Strategy.REQUIREMENT_COT.value, *(v.value for v in variants)]
+        done = _done_ids(output_path, rejects_path, strategies)
         pending = [q for q in queries if q.id not in done]
         stats = LabelingStats(skipped=len(queries) - len(pending))
         if limit is not None:
@@ -242,12 +249,7 @@ def run_labeling(
                 stats.rejected += 1
                 stats.reject_reasons[reason] += 1
                 append_reject({"query_id": query.id, "reason": reason, "detail": detail})
-                # only rejects that consumed a teacher completion are final;
-                # transport and precondition failures retry on the next run
-                if reason not in ("transport", "candidate-count"):
-                    commit(query.id)
                 continue
             append_records(*training_records(query, *accepted, model, variants, templates_dir))
-            commit(query.id)
             stats.accepted += 1
     return stats

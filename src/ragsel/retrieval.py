@@ -282,17 +282,16 @@ class EmbeddingCache:
         return cache
 
 
-def precompute_embeddings(
-    backend,
-    store: PassageStore,
-    cache_path: str | Path,
-    batch_size: int = 16,
-    parallelism: int = 2,
-) -> EmbeddingCache:
+# passages per embed call, and embed calls in flight at once
+EMBED_BATCH_SIZE = 16
+EMBED_PARALLELISM = 2
+
+
+def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) -> EmbeddingCache:
     """Embed every passage missing from the cache and persist the result.
 
     The cache is reused only when its model matches the backend's; batches
-    run on a pool of ``parallelism`` threads.
+    of ``EMBED_BATCH_SIZE`` run on a pool of ``EMBED_PARALLELISM`` threads.
     """
     cache_path = Path(cache_path)
     cache: EmbeddingCache | None = None
@@ -304,8 +303,8 @@ def precompute_embeddings(
     if not missing:
         assert cache is not None
         return cache
-    batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+    batches = [missing[i : i + EMBED_BATCH_SIZE] for i in range(0, len(missing), EMBED_BATCH_SIZE)]
+    with ThreadPoolExecutor(max_workers=EMBED_PARALLELISM) as pool:
         results = pool.map(lambda batch: backend.embed([p.text for p in batch]), batches)
         for batch, vectors in zip(batches, results):
             for passage, vec in zip(batch, vectors):

@@ -396,7 +396,7 @@ def test_labeling_pipeline(tmp_path):
             backend,
             "teacher",
             workdir / "out.jsonl",
-            workdir / "ck.txt",
+            workdir / "out.jsonl.rejects.jsonl",
             expected_candidates=6,
             **kwargs,
         )
@@ -431,7 +431,7 @@ def test_labeling_pipeline(tmp_path):
     assert len(ids) == 10 and len(set(ids)) == 10
 
     # a missing transcript entry rejects one query, then succeeds on retry
-    # with the full transcript because transport rejects never checkpoint
+    # with the full transcript because a transport reject is not final
     queries = load_label_queries(input_path)
     target = next(q for q in queries if q.id == "dq07")
     prompt = render_prompt(Strategy.REQUIREMENT_COT, target.question, target.candidate_texts)

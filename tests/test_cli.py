@@ -52,7 +52,6 @@ def test_default_config_is_pinned():
             "report": None,
             "distill_input": None,
             "distill_output": None,
-            "distill_checkpoint": None,
         },
         "chunk_limit": 300,
         "retriever": {"kind": "bm25", "k": 20, "k1": 1.2, "b": 0.75, "lowercase": True, "stopwords": []},
@@ -85,7 +84,6 @@ def test_default_config_is_pinned():
         "distill": {
             "teacher_model": None,
             "expected_candidates": 20,
-            "strict_count": True,
             "retries": 0,
             "limit": None,
             "variants": [],
@@ -210,6 +208,8 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"distill": {"variants": ["listwise_rerank"]}}, "distill.variants"),
         ({"chunk_limit": 0}, "chunk_limit"),
         ({"generation_backend": {"kind": "http", "record": True}}, "generation_backend.record"),
+        ({"distill": {"expected_candidates": 0}}, "distill.expected_candidates"),
+        ({"distill": {"expected_candidates": "20"}}, "distill.expected_candidates"),
     ],
 )
 def test_validate_config_rejections(override, field):
@@ -217,6 +217,18 @@ def test_validate_config_rejections(override, field):
     with pytest.raises(ConfigError) as excinfo:
         validate_config(cfg)
     assert field in str(excinfo.value)
+
+
+def test_expected_candidates_null_accepts_any_count(tmp_path, capsys):
+    validate_config(merge_config(default_config(), {"distill": {"expected_candidates": None}}))
+    # the one candidate-count setting: the switch that used to sit beside it is gone
+    config_path = build_distill_workspace(tmp_path)
+    assert main(["distill", "--config", str(config_path), "--set", "distill.strict_count=false"]) == 2
+    assert capsys.readouterr().err == "config error: distill.strict_count: unknown configuration key\n"
+    assert main(["distill", "--config", str(config_path), "--set", "distill.expected_candidates=9"]) == 0
+    assert "rejected[candidate-count]: 4" in capsys.readouterr().out
+    assert main(["distill", "--config", str(config_path), "--set", "distill.expected_candidates=null"]) == 0
+    assert "labeled 4 queries (0 rejected, 0 already done)" in capsys.readouterr().out
 
 
 def test_backend_requirements_checked_at_build():
@@ -665,13 +677,13 @@ def test_cli_input_path_that_is_a_directory_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
-@pytest.mark.parametrize("name", ["corpus.jsonl", "questions.jsonl", "chat.jsonl", "out/distill.jsonl.checkpoint"])
+@pytest.mark.parametrize("name", ["corpus.jsonl", "questions.jsonl", "chat.jsonl", "out/distill.jsonl.rejects.jsonl"])
 def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, name):
     path = tmp_path / name
-    if name.endswith(".checkpoint"):  # a list of ids, not JSON Lines
-        command, config_path, where = "distill", build_distill_workspace(tmp_path), ""
+    if name.endswith(".rejects.jsonl"):
+        command, config_path, where = "distill", build_distill_workspace(tmp_path), "line 1: "
         path.parent.mkdir()
-        path.write_bytes(b"q\xe9\n")
+        path.write_bytes(b'{"query_id": "q\xe9", "reason": "no-marker"}\n')
     else:
         command, config_path, where = "run", build_workspace(tmp_path), "line 2: "
         first, rest = path.read_bytes().split(b"\n", 1)
@@ -750,9 +762,34 @@ def test_cli_distill(tmp_path, capsys):
     ]
     assert [r["query_id"] for r in records] == ["q1", "q2", "q3", "q4"]
     assert all(r["teacher_model"] == "selector" for r in records)
-    # second invocation is a no-op thanks to the checkpoint
+    assert out.endswith(
+        f"records -> {tmp_path / 'out' / 'distill.jsonl'}\n"
+        f"rejects -> {tmp_path / 'out' / 'distill.jsonl.rejects.jsonl'}\n"
+    )
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["distill.jsonl", "distill.jsonl.rejects.jsonl"]
+    # second invocation is a no-op: every query is in the records
     assert main(["distill", "--config", str(config_path)]) == 0
     assert "0 rejected, 4 already done" in capsys.readouterr().out
+
+
+def test_cli_distill_resumes_a_job_begun_with_a_checkpoint_file(tmp_path, capsys):
+    # the layout of earlier versions: records, rejects and <output>.checkpoint. The
+    # transcript lacks q1-q3, so asking the teacher for any done query is a transport reject
+    config_path = build_distill_workspace(tmp_path, n=5, missing=("q1", "q2", "q3"))
+    out = tmp_path / "out"
+    out.mkdir()
+    records = "".join(json.dumps({"query_id": q, "strategy": "requirement_cot"}) + "\n" for q in ("q1", "q2"))
+    (out / "distill.jsonl").write_text(records, encoding="utf-8")
+    rejects = [{"query_id": "q3", "reason": "no-marker", "detail": "x"}, {"query_id": "q4", "reason": "transport"}]
+    (out / "distill.jsonl.rejects.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rejects), encoding="utf-8")
+    checkpoint = out / "distill.jsonl.checkpoint"
+    checkpoint.write_bytes(b"q1\nq2\nq3\n")
+    before = checkpoint.stat().st_mtime_ns
+    assert main(["distill", "--config", str(config_path)]) == 0
+    assert "labeled 2 queries (0 rejected, 3 already done)" in capsys.readouterr().out
+    ids = [json.loads(l)["query_id"] for l in (out / "distill.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert ids == ["q1", "q2", "q4", "q5"]
+    assert checkpoint.read_bytes() == b"q1\nq2\nq3\n" and checkpoint.stat().st_mtime_ns == before
 
 
 def test_cli_distill_limit_flag(tmp_path, capsys):
@@ -795,9 +832,6 @@ def test_fixture_outputs_are_pinned(tmp_path):
     assert digest("plain", "distill.jsonl") == "873bb4360e766521e07010166fc2f20ae2373f29c2e807b580fb77f9aa19342c"
     assert digest("variants", "distill.jsonl") == "d48d6ac35c7ee6316351a108cd92d2a2be207c2e1592ae29e1c62f6b4d9c7a06"
     for name in ("plain", "variants"):
-        assert digest(name, "distill.jsonl.checkpoint") == (
-            "db847c3bcbd4b81890a07c15b295e2b4217a5b11aee281c403fa05c61185b7ed"
-        )
         assert (tmp_path / name / "distill.jsonl.rejects.jsonl").read_bytes() == b""
 
 

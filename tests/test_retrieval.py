@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from ragsel import retrieval
 from ragsel.corpus import Passage, PassageStore
 from ragsel.retrieval import (
     AnalyzerConfig,
@@ -577,13 +578,16 @@ class CountingEmbedBackend:
         return [[float(len(t)), 1.0] for t in texts]
 
 
-def test_precompute_threads_stay_within_parallelism(tmp_path):
+def test_precompute_threads_stay_within_parallelism(tmp_path, monkeypatch):
+    parallelism = 2
+    monkeypatch.setattr(retrieval, "EMBED_BATCH_SIZE", 1)
+    monkeypatch.setattr(retrieval, "EMBED_PARALLELISM", parallelism)
     store = PassageStore([Passage(id=f"p{i}", doc_id="d", text="x" * (i + 1)) for i in range(12)])
     backend = CountingEmbedBackend()
     before = threading.active_count()
-    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl", batch_size=1, parallelism=2)
+    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
     assert backend.batches == 12
-    assert backend.peak - before <= 2
+    assert backend.peak - before <= parallelism
     assert [list(cache.vectors[p.id]) for p in store] == [[float(i + 1), 1.0] for i in range(12)]
 
 
