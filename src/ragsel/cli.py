@@ -350,9 +350,9 @@ def build_retriever(cfg: dict, store):
                 "rebuild it with `ragsel index`",
             )
         _expect(
-            index.ids == store.ids,
+            index.digest == store.digest(),
             "paths.index",
-            f"{index_path} was built over other passages than the corpus; rebuild it with `ragsel index`",
+            f"{index_path} was built over other passages or texts than the corpus; rebuild it with `ragsel index`",
         )
         return Bm25Retriever(index)
     cache_path = cfg["paths"].get("embedding_cache")

@@ -8,6 +8,7 @@ rewritten so that prompt-side ``[i]`` markers stay unambiguous.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -138,6 +139,14 @@ class PassageStore:
     @property
     def ids(self) -> list[str]:
         return [p.id for p in self._passages]
+
+    def digest(self) -> str:
+        """sha256 over every id and cleaned text, in store order. The fields are
+        NUL-separated; fix_text leaves no control character in a text."""
+        digest = hashlib.sha256()
+        for p in self._passages:
+            digest.update(f"{p.id}\x00{p.text}\x00".encode("utf-8"))
+        return digest.hexdigest()
 
     def get(self, passage_id: str) -> Passage:
         try:

@@ -13,6 +13,7 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -204,7 +205,7 @@ class HttpChatBackend(HttpClient):
     estimated_calls = 0
 
     def describe(self) -> dict:
-        return {"kind": "http", "endpoint": self.endpoint}
+        return {"kind": "http", "endpoint": self.endpoint, "estimated_usage_calls": self.estimated_calls}
 
     def chat(self, request: ChatRequest) -> tuple[str, Usage]:
         payload: dict = {
@@ -249,16 +250,13 @@ class HttpEmbedBackend(HttpClient):
             data = body["data"]
             if not isinstance(data, list) or len(data) != len(texts):
                 raise TypeError(f"'data' is not a list of {len(texts)} embeddings")
-            return [row["embedding"] for row in data]
+            vectors = [row["embedding"] for row in data]
+            dims = {len(v) for v in vectors}
+            if len(dims) > 1:
+                raise ValueError(f"embeddings of inconsistent dimensions {sorted(dims)}")
+            return vectors
 
-        return _check_uniform(self.post("embeddings", {"model": self.model, "input": list(texts)}, read))
-
-
-def _check_uniform(vectors: list[list[float]]) -> list[list[float]]:
-    dims = {len(v) for v in vectors}
-    if len(dims) > 1:
-        raise ValueError(f"embedding response has inconsistent dimensions: {sorted(dims)}")
-    return vectors
+        return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
 
 
 class TranscriptStore:
@@ -266,13 +264,15 @@ class TranscriptStore:
 
     A lookup miss raises unless a live backend was attached for record
     mode, in which case the live responses are appended to the transcript
-    and returned.
+    and returned. A fingerprint is fetched once: lookups that miss it while
+    its fetch is in flight wait for that fetch's entry or exception.
     """
 
     def __init__(self, path: str | Path, record_from=None):
         self.path = Path(path)
         self.record_from = record_from
         self._entries: dict[str, dict] = {}
+        self._inflight: dict[str, Future] = {}
         self._lock = threading.Lock()
         if record_from is not None:
             with appending(self.path):  # mends a torn last line before it is read
@@ -290,16 +290,39 @@ class TranscriptStore:
         returns one new entry body per position."""
         entries = [self._entries.get(fp) for fp in fingerprints]
         missing = [i for i, entry in enumerate(entries) if entry is None]
-        if missing:
-            if self.record_from is None:
-                raise TranscriptMissError(fingerprints[missing[0]])
-            fresh = fetch(missing)
-            with self._lock, appending(self.path) as append:
-                for i, body in zip(missing, fresh, strict=True):
-                    entry = {"fingerprint": fingerprints[i], **body}
-                    self._entries[fingerprints[i]] = entry
-                    append(entry)
-                    entries[i] = entry
+        if not missing:
+            return entries
+        if self.record_from is None:
+            raise TranscriptMissError(fingerprints[missing[0]])
+        mine, waits = [], []
+        with self._lock:
+            for i in missing:
+                fp = fingerprints[i]
+                if fp in self._entries:
+                    entries[i] = self._entries[fp]
+                    continue
+                if fp not in self._inflight:
+                    self._inflight[fp] = Future()
+                    mine.append(i)
+                waits.append((i, self._inflight[fp]))
+        if mine:
+            try:
+                fresh = fetch(mine)
+                with self._lock, appending(self.path) as append:
+                    for i, body in zip(mine, fresh, strict=True):
+                        entry = {"fingerprint": fingerprints[i], **body}
+                        self._entries[fingerprints[i]] = entry
+                        append(entry)
+                        self._inflight.pop(fingerprints[i]).set_result(entry)
+            except BaseException as exc:
+                with self._lock:
+                    for i in mine:
+                        future = self._inflight.pop(fingerprints[i], None)
+                        if future is not None:
+                            future.set_exception(exc)
+                raise
+        for i, future in waits:
+            entries[i] = future.result()
         return entries
 
 
@@ -339,4 +362,4 @@ class TranscriptEmbedBackend(TranscriptStore):
             return [{"vector": v} for v in self.record_from.embed([texts[i] for i in missing])]
 
         entries = self.lookup([text_fingerprint(self.model, t) for t in texts], fetch)
-        return _check_uniform([entry["vector"] for entry in entries])
+        return [entry["vector"] for entry in entries]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import PassageStore
 from .files import iter_jsonl, replace_atomically, write_jsonl
+from .gateway import text_fingerprint
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -103,6 +104,7 @@ class Bm25Index:
 
     Row r is passage ``ids[r]``; a term's postings are the ascending rows
     ``rows[terms[term]]``, and it adds ``impacts[terms[term]]`` to their scores.
+    ``digest`` is the indexed store's ``PassageStore.digest()``.
     """
 
     ids: list[str]
@@ -112,6 +114,7 @@ class Bm25Index:
     k1: float
     b: float
     analyzer: AnalyzerConfig
+    digest: str
 
     def __post_init__(self):
         self.id_rank = _id_ranks(self.ids)
@@ -168,7 +171,7 @@ def build_index(
     norm = 1.0 - b + b * np.array(lengths, dtype=np.float64)[rows] / (sum(lengths) / len(lengths))
     impacts = np.repeat(idf, df) * tf * (k1 + 1.0) / (tf + k1 * norm)
     offsets = np.concatenate(([0], np.cumsum(df)))
-    return Bm25Index(ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer)
+    return Bm25Index(ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer, store.digest())
 
 
 def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> CandidateList:
@@ -193,8 +196,8 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
     """Write one uncompressed .npz: the CSR arrays plus a JSON header."""
-    header = dict(format="ragsel-bm25-index", version=2, k1=index.k1, b=index.b,
-                  analyzer=index.analyzer.to_dict(), ids=index.ids, terms=list(index.terms))
+    header = dict(format="ragsel-bm25-index", version=3, k1=index.k1, b=index.b, analyzer=index.analyzer.to_dict(),
+                  digest=index.digest, ids=index.ids, terms=list(index.terms))
     header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     offsets = np.array([0] + [span.stop for span in index.terms.values()])
     # np.savez appends ".npz" to a path name; a file handle keeps the path as given
@@ -210,7 +213,8 @@ def load_index(path: str | Path) -> Bm25Index:
             rows, impacts, offsets = npz["rows"], npz["impacts"], npz["offsets"]
         ids, terms = header["ids"], header["terms"]
         if not (
-            (header["format"], header["version"]) == ("ragsel-bm25-index", 2)
+            (header["format"], header["version"]) == ("ragsel-bm25-index", 3)
+            and isinstance(header["digest"], str)
             and rows.dtype.kind == "i" and impacts.dtype == np.float64
             and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
             and (np.diff(offsets) >= 0).all()
@@ -219,7 +223,7 @@ def load_index(path: str | Path) -> Bm25Index:
         ):
             raise ValueError("inconsistent index arrays")
         params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
-        return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params)
+        return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params, header["digest"])
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise RetrievalError(f"{path}: not a BM25 index file") from exc
 
@@ -238,48 +242,32 @@ class Bm25Retriever:
 
 
 class EmbeddingCache:
-    """On-disk passage embeddings keyed by (model name, passage id).
+    """On-disk passage embeddings in the embed transcript's entry format.
 
-    File layout: a JSON header line {"model", "dim"} followed by one
-    {"id", "vector"} line per passage. A model change invalidates the
-    whole cache; a dimension clash is an error.
+    One {"fingerprint", "vector"} line per text, keyed by
+    ``gateway.text_fingerprint(model, text)``: an edited text or another
+    model is a miss, never a stale hit.
     """
 
-    def __init__(self, model: str, dim: int, vectors: dict[str, np.ndarray] | None = None):
-        self.model = model
-        self.dim = dim
+    def __init__(self, vectors: dict[str, np.ndarray] | None = None):
         self.vectors: dict[str, np.ndarray] = vectors or {}
 
-    def put(self, passage_id: str, vector: Sequence[float]) -> None:
-        arr = np.asarray(vector, dtype=np.float64)
-        if arr.shape != (self.dim,):
-            raise RetrievalError(
-                f"embedding dimension mismatch for {passage_id!r}:"
-                f" cache holds {self.dim}, got {arr.shape[0]}"
-            )
-        self.vectors[passage_id] = arr
-
     def save(self, path: str | Path) -> None:
-        entries = ({"id": pid, "vector": vec.tolist()} for pid, vec in self.vectors.items())
-        write_jsonl(path, itertools.chain([{"model": self.model, "dim": self.dim}], entries))
+        write_jsonl(path, ({"fingerprint": fp, "vector": vec.tolist()} for fp, vec in self.vectors.items()))
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
         """Read a save file; a malformed line raises RetrievalError naming it."""
-        cache = None
+        vectors = {}
         for lineno, record in iter_jsonl(path, RetrievalError):
+            fingerprint, vector = record.get("fingerprint"), record.get("vector")
             try:
-                if cache is None:
-                    cache = cls(model=record["model"], dim=int(record["dim"]))
-                elif isinstance(record.get("id"), str) and isinstance(record.get("vector"), list):
-                    cache.put(record["id"], record["vector"])
-                else:
-                    raise ValueError("expected a string 'id' and a list 'vector'")
-            except (KeyError, TypeError, ValueError) as exc:
+                if not isinstance(fingerprint, str) or not isinstance(vector, list):
+                    raise ValueError("expected a string 'fingerprint' and a list 'vector'")
+                vectors[fingerprint] = np.array(vector, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
                 raise RetrievalError(f"{path}: line {lineno}: not an embedding cache line: {exc}") from None
-        if cache is None:
-            raise RetrievalError(f"{path}: empty embedding cache")
-        return cache
+        return cls(vectors)
 
 
 # passages per embed call, and embed calls in flight at once
@@ -287,33 +275,33 @@ EMBED_BATCH_SIZE = 16
 EMBED_PARALLELISM = 2
 
 
-def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) -> EmbeddingCache:
-    """Embed every passage missing from the cache and persist the result.
+def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) -> np.ndarray:
+    """The store's passage vectors as one float64 matrix, in store order.
 
-    The cache is reused only when its model matches the backend's; batches
-    of ``EMBED_BATCH_SIZE`` run on a pool of ``EMBED_PARALLELISM`` threads.
+    Each distinct text missing from the cache is embedded once, in batches
+    of ``EMBED_BATCH_SIZE`` on a pool of ``EMBED_PARALLELISM`` threads. When
+    anything was embedded or pruned, the cache is rewritten to hold exactly
+    the store's fingerprints.
     """
     cache_path = Path(cache_path)
-    cache: EmbeddingCache | None = None
-    if cache_path.exists():
-        existing = EmbeddingCache.load(cache_path)
-        if existing.model == backend.model:
-            cache = existing
-    missing = [p for p in store if cache is None or p.id not in cache.vectors]
-    if not missing:
-        assert cache is not None
-        return cache
+    cache = EmbeddingCache.load(cache_path) if cache_path.exists() else EmbeddingCache()
+    keys = [text_fingerprint(backend.model, p.text) for p in store]
+    texts = dict(zip(keys, (p.text for p in store)))
+    missing = [fp for fp in texts if fp not in cache.vectors]
     batches = [missing[i : i + EMBED_BATCH_SIZE] for i in range(0, len(missing), EMBED_BATCH_SIZE)]
     with ThreadPoolExecutor(max_workers=EMBED_PARALLELISM) as pool:
-        results = pool.map(lambda batch: backend.embed([p.text for p in batch]), batches)
+        results = pool.map(lambda batch: backend.embed([texts[fp] for fp in batch]), batches)
         for batch, vectors in zip(batches, results):
-            for passage, vec in zip(batch, vectors):
-                if cache is None:
-                    cache = EmbeddingCache(model=backend.model, dim=len(vec))
-                cache.put(passage.id, vec)
-    assert cache is not None
-    cache.save(cache_path)
-    return cache
+            cache.vectors.update(zip(batch, (np.asarray(v, dtype=np.float64) for v in vectors)))
+    try:
+        matrix = np.stack([cache.vectors[fp] for fp in keys])
+    except ValueError:
+        dims = sorted({cache.vectors[fp].size for fp in texts})
+        raise RetrievalError(f"passage embeddings differ in dimension {dims} (cache {cache_path})") from None
+    if missing or len(cache.vectors) > len(texts):
+        cache.vectors = {fp: cache.vectors[fp] for fp in texts}
+        cache.save(cache_path)
+    return matrix
 
 
 class DenseRetriever:
@@ -329,9 +317,8 @@ class DenseRetriever:
         if len(store) == 0:
             raise RetrievalError("cannot build a dense retriever over an empty corpus")
         self.backend = backend
-        cache = precompute_embeddings(backend, store, cache_path)
+        self.matrix = precompute_embeddings(backend, store, cache_path)
         self.ids = store.ids
-        self.matrix = np.stack([cache.vectors[pid] for pid in self.ids])
         self.norms = np.linalg.norm(self.matrix, axis=1)
         self.id_rank = _id_ranks(self.ids)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +27,11 @@ from ragsel.gateway import (
     HttpChatBackend,
     HttpEmbedBackend,
     request_fingerprint,
+    text_fingerprint,
     user_request,
 )
 from ragsel.pipeline import PromptStyle, render_answer_prompt
-from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index
+from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index, search
 from ragsel.selection import Strategy, render_prompt
 
 # --- config machinery ----------------------------------------------------------
@@ -511,6 +513,26 @@ def test_cli_saved_index_must_match_config_and_corpus(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: paths.index")
 
 
+def test_cli_saved_index_must_match_the_corpus_texts(tmp_path, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ["--config", str(tmp_path / "fixtures" / "config.json")]
+    query = ["--query", "zebra clue01a"]
+    assert main(["index", *config]) == 0
+    corpus = tmp_path / "fixtures" / "corpus.jsonl"
+    corpus.write_text(corpus.read_text(encoding="utf-8").replace(" clue01a ", " zebra "), encoding="utf-8")
+    capsys.readouterr()
+    # same ids, one edited text: the saved index would score p01_2 from clue01a
+    assert main(["retrieve", *config, *query]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: paths.index") and "ragsel index" in err
+    assert main(["index", *config]) == 0
+    capsys.readouterr()
+    assert main(["retrieve", *config, *query]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    rebuilt = build_index(load_corpus(corpus))
+    assert items[0] == {"id": "p01_2", "score": search(rebuilt, "zebra", k=1).items[0].score}
+
+
 def test_cli_commands_read_the_default_index(tmp_path, capsys):
     config_path = build_workspace(tmp_path)
     assert main(["index", "--config", str(config_path)]) == 0
@@ -555,6 +577,19 @@ def test_cli_backend_errors_are_input_errors(tmp_path, capsys, argv):
              "--set", f"embedding_backend.transcript={tmp_path / 'chat.jsonl'}"]
     assert main([*argv, "--config", str(config_path), *dense]) == 2
     assert capsys.readouterr().err.startswith("error: no transcript entry for request fingerprint")
+
+
+def test_cli_ragged_embeddings_are_an_input_error(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    store = load_corpus(tmp_path / "corpus.jsonl")
+    entries = [{"fingerprint": text_fingerprint("embedder", p.text), "vector": [1.0] * (2 + i % 2)}
+               for i, p in enumerate(store)]
+    write_jsonl(tmp_path / "emb_transcript.jsonl", entries)
+    dense = ["--set", f"paths.embedding_cache={tmp_path / 'emb.jsonl'}",
+             "--set", f"embedding_backend.transcript={tmp_path / 'emb_transcript.jsonl'}"]
+    assert main(["retrieve", "--retriever", "dense", "--query", "apple", "--config", str(config_path), *dense]) == 2
+    assert capsys.readouterr().err.startswith("error: passage embeddings differ in dimension [2, 3]")
+    assert not (tmp_path / "emb.jsonl").exists()
 
 
 @pytest.mark.parametrize("damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n"])

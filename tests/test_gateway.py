@@ -1,6 +1,8 @@
 import json
 import random
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -157,6 +159,80 @@ def test_record_mode_after_a_last_line_without_newline(tmp_path, tail):
     assert replay.chat(user_request("m", "fresh"))[0] == "live answer"
 
 
+class SlowLive:
+    """A live chat and embed backend slow enough that concurrent misses overlap."""
+
+    def __init__(self, error=None):
+        self.error = error
+        self.calls = 0
+        self.texts = []
+        self._lock = threading.Lock()
+
+    def _call(self, texts):
+        with self._lock:
+            self.calls += 1
+            self.texts.extend(texts)
+        time.sleep(0.2)
+        if self.error is not None:
+            raise self.error
+
+    def chat(self, request):
+        self._call([request.messages[0]["content"]])
+        return "live answer", Usage(9, 3)
+
+    def embed(self, texts):
+        self._call(texts)
+        return [[float(len(t)), 1.0] for t in texts]
+
+
+def _in_threads(n, work):
+    """``work(i)`` on n threads started together; each result or exception, in order."""
+    start = threading.Barrier(n)
+
+    def run(i):
+        start.wait()
+        try:
+            return work(i)
+        except Exception as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(run, range(n)))
+
+
+def test_record_mode_fetches_a_missed_fingerprint_once(tmp_path):
+    path = tmp_path / "t.jsonl"
+    live = SlowLive()
+    backend = TranscriptChatBackend(path, record_from=live)
+    results = _in_threads(8, lambda _: backend.chat(user_request("m", "fresh")))
+    assert results == [("live answer", Usage(9, 3))] * 8
+    assert live.calls == 1
+    assert path.read_text(encoding="utf-8").splitlines() == [json.dumps(_entry("m", "fresh", "live answer", 9, 3))]
+
+
+def test_record_mode_fetches_each_embed_text_once(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    live = SlowLive()
+    backend = TranscriptEmbedBackend(path, model="emb", record_from=live)
+    results = _in_threads(4, lambda i: backend.embed(["shared", f"own {i}", "shared"]))
+    assert results == [[[6.0, 1.0], [5.0, 1.0], [6.0, 1.0]]] * 4
+    assert sorted(live.texts) == ["own 0", "own 1", "own 2", "own 3", "shared"]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def test_record_mode_waiters_get_the_fetch_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    live = SlowLive(error=TransportError("gave up"))
+    backend = TranscriptChatBackend(path, record_from=live)
+    results = _in_threads(4, lambda _: backend.chat(user_request("m", "fresh")))
+    assert all(isinstance(r, TransportError) for r in results)
+    assert live.calls == 1
+    # a failed fetch is not remembered: the next miss asks again
+    live.error = None
+    assert backend.chat(user_request("m", "fresh")) == ("live answer", Usage(9, 3))
+    assert live.calls == 2
+
+
 def test_usage_totals_are_additive(tmp_path):
     path = tmp_path / "t.jsonl"
     usages = []
@@ -247,14 +323,16 @@ def test_http_embed_malformed_200_is_api_error(scripted_server, body):
             backend.embed(["a", "b"])
 
 
-def test_http_chat_estimates_when_usage_missing(scripted_server):
+def test_http_chat_estimates_when_usage_missing(scripted_server, tmp_path):
     script = [(200, _chat_body("a b c"))]
     with scripted_server(script) as (endpoint, _):
-        backend = HttpChatBackend(endpoint, backoff_base=0.001)
+        live = HttpChatBackend(endpoint, backoff_base=0.001)
+        backend = TranscriptChatBackend(tmp_path / "t.jsonl", record_from=live)
         text, usage = backend.chat(user_request("m", "hello world"))
     assert text == "a b c"
     assert usage == Usage(estimate_tokens("hello world"), 3)
-    assert backend.estimated_calls == 1
+    # the count reaches the run manifest through describe()
+    assert backend.describe()["record_from"] == {"kind": "http", "endpoint": endpoint, "estimated_usage_calls": 1}
 
 
 def test_http_chat_transport_error_on_refused_port():
@@ -283,8 +361,9 @@ def test_http_embed_inconsistent_dims_error(scripted_server):
     script = [(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0]}]})]
     with scripted_server(script) as (endpoint, _):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ApiError, match=r"malformed response body .*inconsistent dimensions \[1, 2\]") as excinfo:
             backend.embed(["a", "b"])
+    assert excinfo.value.status == 200
 
 
 def test_http_embed_empty_input_no_call():

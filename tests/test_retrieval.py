@@ -12,6 +12,8 @@ import pytest
 
 from ragsel import retrieval
 from ragsel.corpus import Passage, PassageStore
+from ragsel.files import write_jsonl
+from ragsel.gateway import TranscriptEmbedBackend, text_fingerprint
 from ragsel.retrieval import (
     AnalyzerConfig,
     Candidate,
@@ -229,6 +231,7 @@ def test_index_save_load_roundtrip(tmp_path):
     assert again.ids == index.ids
     assert again.terms == index.terms
     assert (again.k1, again.b, again.analyzer) == (index.k1, index.b, index.analyzer)
+    assert again.digest == index.digest == store.digest()
     assert again.rows.tolist() == index.rows.tolist()
     assert again.impacts.tolist() == index.impacts.tolist()
     for query in ("a", "b", "c", "a b c"):
@@ -289,6 +292,28 @@ def test_index_load_rejects_foreign_files(tmp_path, write):
     write(path)
     with pytest.raises(RetrievalError, match="not a BM25 index"):
         load_index(path)
+
+
+def test_index_load_rejects_a_version_2_file(tmp_path):
+    path = tmp_path / "index.npz"
+    save_index(build_index(three_doc_store()), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    header = json.loads(arrays["header"].tobytes())
+    del header["digest"]
+    _write_with(np.savez, path, **{**arrays, "header": _header(**{**header, "version": 2})})
+    with pytest.raises(RetrievalError, match="not a BM25 index"):
+        load_index(path)
+
+
+def test_store_digest_covers_ids_texts_and_order():
+    store = three_doc_store()
+    passages = list(store)
+    edited = [Passage(p.id, p.doc_id, p.text + " x" if p.id == "d2" else p.text) for p in passages]
+    renamed = [Passage("d9" if p.id == "d2" else p.id, p.doc_id, p.text) for p in passages]
+    digests = {PassageStore(ps).digest() for ps in (passages, edited, renamed, passages[::-1])}
+    assert len(digests) == 4
+    assert PassageStore(passages).digest() == store.digest()
 
 
 def test_index_load_rejects_truncated_file(tmp_path):
@@ -522,16 +547,24 @@ def test_dense_equals_loop_reference(tmp_path):
     assert ties_at_k >= 50 and zero_vectors >= 20
 
 
+def _cache_lines(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def test_embedding_cache_roundtrip(tmp_path):
     store, backend = _dense_fixture()
     path = tmp_path / "emb.jsonl"
-    cache = precompute_embeddings(backend, store, path)
+    matrix = precompute_embeddings(backend, store, path)
     assert backend.calls >= 1
+    assert matrix.dtype == np.float64
+    assert matrix.tolist() == [backend.table[p.text] for p in store]
+    assert _cache_lines(path) == [
+        {"fingerprint": text_fingerprint("emb-1", p.text), "vector": backend.table[p.text]} for p in store
+    ]
     reloaded = EmbeddingCache.load(path)
-    assert reloaded.model == "emb-1"
-    assert reloaded.dim == 4
-    for pid in ("p1", "p2", "p3"):
-        assert list(reloaded.vectors[pid]) == list(cache.vectors[pid])
+    assert {fp: vec.tolist() for fp, vec in reloaded.vectors.items()} == {
+        text_fingerprint("emb-1", p.text): backend.table[p.text] for p in store
+    }
 
 
 def test_precompute_reuses_fresh_cache(tmp_path):
@@ -547,17 +580,67 @@ def test_precompute_invalidates_on_model_change(tmp_path):
     store, backend = _dense_fixture()
     path = tmp_path / "emb.jsonl"
     precompute_embeddings(backend, store, path)
-    other = FakeEmbedBackend("emb-2", backend.table)
-    cache = precompute_embeddings(other, store, path)
-    assert cache.model == "emb-2"
-    assert other.calls >= 1
-    assert EmbeddingCache.load(path).model == "emb-2"
+    other = RecordingEmbedBackend("emb-2")
+    matrix = precompute_embeddings(other, store, path)
+    assert other.texts == Counter(p.text for p in store)
+    assert matrix.tolist() == [[float(len(p.text)), 1.0] for p in store]
+    assert [line["fingerprint"] for line in _cache_lines(path)] == [text_fingerprint("emb-2", p.text) for p in store]
 
 
-def test_cache_dimension_mismatch_errors():
-    cache = EmbeddingCache(model="m", dim=4)
-    with pytest.raises(RetrievalError, match="dimension"):
-        cache.put("p1", [1.0, 2.0])
+def test_precompute_embeds_an_edited_passage_and_only_it(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    texts = {"p1": "abc", "p2": "de", "p3": "fghi"}
+    precompute_embeddings(RecordingEmbedBackend(), PassageStore(Passage(pid, "d", t) for pid, t in texts.items()), path)
+    texts["p1"] = "a longer text now"
+    backend = RecordingEmbedBackend()
+    store = PassageStore(Passage(pid, "d", t) for pid, t in texts.items())
+    matrix = precompute_embeddings(backend, store, path)
+    assert backend.texts == Counter(["a longer text now"])
+    assert matrix.tolist() == [[17.0, 1.0], [2.0, 1.0], [4.0, 1.0]]
+    # the rewrite holds exactly the current texts: the old p1 entry is pruned
+    assert [line["fingerprint"] for line in _cache_lines(path)] == [text_fingerprint("emb-1", t) for t in texts.values()]
+
+
+def test_precompute_embeds_identical_texts_once(tmp_path):
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=f"text {i % 3}") for i in range(9)])
+    backend = RecordingEmbedBackend()
+    matrix = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
+    assert backend.texts == Counter(f"text {i}" for i in range(3))
+    assert matrix.shape == (9, 2)
+
+
+def test_precompute_leaves_a_pure_cache_untouched(tmp_path):
+    store, backend = _dense_fixture()
+    path = tmp_path / "emb.jsonl"
+    precompute_embeddings(backend, store, path)
+    # spacing no rewrite produces, so an unchanged file shows no rewrite happened
+    path.write_text(path.read_text(encoding="utf-8").replace(", ", ",  "), encoding="utf-8")
+    before = path.read_bytes()
+    precompute_embeddings(backend, store, path)
+    assert path.read_bytes() == before
+    # one passage fewer: its entry is pruned, so the file is rewritten
+    precompute_embeddings(backend, PassageStore(list(store)[:2]), path)
+    assert len(_cache_lines(path)) == 2
+
+
+def test_cached_vector_replays_through_the_embed_transcript(tmp_path):
+    store, backend = _dense_fixture()
+    path = tmp_path / "emb.jsonl"
+    precompute_embeddings(backend, store, path)
+    assert TranscriptEmbedBackend(path, "emb-1").embed(["gamma", "alpha"]) == [
+        backend.table["gamma"],
+        backend.table["alpha"],
+    ]
+
+
+def test_cache_dimension_mismatch_errors(tmp_path):
+    store, backend = _dense_fixture()
+    path = tmp_path / "emb.jsonl"
+    write_jsonl(path, [{"fingerprint": text_fingerprint("emb-1", "alpha"), "vector": [1.0, 0.0]}])
+    before = path.read_bytes()
+    with pytest.raises(RetrievalError, match=r"differ in dimension \[2, 4\]"):
+        precompute_embeddings(backend, store, path)
+    assert path.read_bytes() == before  # checked before the cache is saved
 
 
 class CountingEmbedBackend:
@@ -585,18 +668,17 @@ def test_precompute_threads_stay_within_parallelism(tmp_path, monkeypatch):
     store = PassageStore([Passage(id=f"p{i}", doc_id="d", text="x" * (i + 1)) for i in range(12)])
     backend = CountingEmbedBackend()
     before = threading.active_count()
-    cache = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
+    matrix = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
     assert backend.batches == 12
     assert backend.peak - before <= parallelism
-    assert [list(cache.vectors[p.id]) for p in store] == [[float(i + 1), 1.0] for i in range(12)]
+    assert matrix.tolist() == [[float(i + 1), 1.0] for i in range(12)]
 
 
 class RecordingEmbedBackend:
     """Counts every text it embeds; slow enough that concurrent callers overlap."""
 
-    model = "emb-1"
-
-    def __init__(self):
+    def __init__(self, model="emb-1"):
+        self.model = model
         self.texts = Counter()
         self._lock = threading.Lock()
 
@@ -621,7 +703,7 @@ def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert all(len(c) == 3 for c in pool.map(first_query, range(4)))
     assert backend.texts == Counter([p.text for p in store] + [f"query {n}" for n in range(4)])
-    assert sorted(EmbeddingCache.load(path).vectors) == sorted(store.ids)
+    assert list(EmbeddingCache.load(path).vectors) == [text_fingerprint("emb-1", p.text) for p in store]
 
 
 def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
@@ -641,21 +723,29 @@ def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
     assert retained < 1.5 * retriever.matrix.nbytes
 
 
-BAD_ENTRY = "line 5: not an embedding cache line: expected a string 'id' and a list 'vector'"
+BAD_ENTRY = "line 4: not an embedding cache line: expected a string 'fingerprint' and a list 'vector'"
+FP = text_fingerprint("emb-1", "delta")
 
 
 @pytest.mark.parametrize(
     "damage,fragment",
     [
-        (lambda text: text[:-10], "line 4: invalid JSON"),  # an interrupted write cuts the last line
-        (lambda text: text + '{"id": "p4"}\n', BAD_ENTRY),
+        (lambda text: text[:-10], "line 3: invalid JSON"),  # an interrupted write cuts the last line
+        (lambda text: text + json.dumps({"fingerprint": FP}) + "\n", BAD_ENTRY),
         (lambda text: text + '{"vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
-        (lambda text: text + '{"id": "p4", "vector": null}\n', BAD_ENTRY),
-        (lambda text: text + '{"id": 4, "vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
-        (lambda text: '{"model": "emb-1"}\n', "line 1: not an embedding cache line: 'dim'"),
-        (lambda text: "", "empty embedding cache"),
+        (lambda text: text + json.dumps({"fingerprint": FP, "vector": None}) + "\n", BAD_ENTRY),
+        (lambda text: text + '{"fingerprint": 4, "vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
+        (
+            lambda text: text + json.dumps({"fingerprint": FP, "vector": ["x", 0, 0, 0]}) + "\n",
+            "line 4: not an embedding cache line: could not convert string to float",
+        ),
+        (
+            # the earlier format: a {"model", "dim"} header, then entries keyed by passage id
+            lambda text: '{"model": "emb-1", "dim": 4}\n{"id": "p1", "vector": [1.0, 0.0, 0.0, 0.0]}\n',
+            "line 1: not an embedding cache line",
+        ),
     ],
-    ids=["truncated-line", "no-vector", "no-id", "null-vector", "number-id", "header-without-dim", "empty"],
+    ids=["truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector", "old-header"],
 )
 def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
     store, backend = _dense_fixture()
@@ -664,3 +754,5 @@ def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
     path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
         EmbeddingCache.load(path)
+    with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
+        DenseRetriever(backend, store, path)
