@@ -572,8 +572,16 @@ def test_precompute_reuses_fresh_cache(tmp_path):
     path = tmp_path / "emb.jsonl"
     precompute_embeddings(backend, store, path)
     calls_before = backend.calls
+    # spacing no rewrite produces, so an unchanged file shows no rewrite happened
+    path.write_text(path.read_text(encoding="utf-8").replace(", ", ",  "), encoding="utf-8")
+    before = path.read_bytes()
     precompute_embeddings(backend, store, path)
     assert backend.calls == calls_before
+    assert path.read_bytes() == before
+    # one passage fewer: its entry is pruned, so the file is rewritten
+    precompute_embeddings(backend, PassageStore(list(store)[:2]), path)
+    assert backend.calls == calls_before
+    assert len(_cache_lines(path)) == 2
 
 
 def test_precompute_invalidates_on_model_change(tmp_path):
@@ -607,20 +615,6 @@ def test_precompute_embeds_identical_texts_once(tmp_path):
     matrix = precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
     assert backend.texts == Counter(f"text {i}" for i in range(3))
     assert matrix.shape == (9, 2)
-
-
-def test_precompute_leaves_a_pure_cache_untouched(tmp_path):
-    store, backend = _dense_fixture()
-    path = tmp_path / "emb.jsonl"
-    precompute_embeddings(backend, store, path)
-    # spacing no rewrite produces, so an unchanged file shows no rewrite happened
-    path.write_text(path.read_text(encoding="utf-8").replace(", ", ",  "), encoding="utf-8")
-    before = path.read_bytes()
-    precompute_embeddings(backend, store, path)
-    assert path.read_bytes() == before
-    # one passage fewer: its entry is pruned, so the file is rewritten
-    precompute_embeddings(backend, PassageStore(list(store)[:2]), path)
-    assert len(_cache_lines(path)) == 2
 
 
 def test_cached_vector_replays_through_the_embed_transcript(tmp_path):
