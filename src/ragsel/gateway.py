@@ -250,6 +250,11 @@ class HttpEmbedBackend(HttpClient):
             data = body["data"]
             if not isinstance(data, list) or len(data) != len(texts):
                 raise TypeError(f"'data' is not a list of {len(texts)} embeddings")
+            if any("index" in row for row in data):  # OpenAI-style rows name the input they embed
+                rows = {row.get("index"): row for row in data if type(row.get("index")) is int}
+                if rows.keys() != set(range(len(texts))):
+                    raise ValueError(f"'index' fields are not 0..{len(texts) - 1} once each")
+                data = [rows[i] for i in range(len(texts))]
             vectors = [row["embedding"] for row in data]
             dims = {len(v) for v in vectors}
             if len(dims) > 1:
@@ -280,9 +285,17 @@ class TranscriptStore:
         elif not self.path.exists():
             raise FileNotFoundError(f"transcript file not found: {self.path}")
         for lineno, record in iter_jsonl(self.path, TranscriptError):
-            if not isinstance(record.get("fingerprint"), str):
-                raise TranscriptError(f"{self.path}: line {lineno}: transcript entry without a fingerprint")
+            try:
+                if not isinstance(record.get("fingerprint"), str):
+                    raise ValueError("transcript entry without a fingerprint")
+                self._check_entry(record)
+            except ValueError as exc:
+                raise TranscriptError(f"{self.path}: line {lineno}: {exc}") from None
             self._entries[record["fingerprint"]] = record
+
+    def _check_entry(self, record: dict) -> None:
+        """Raise ValueError unless ``record`` holds what a replay reads from it."""
+        raise NotImplementedError
 
     def lookup(self, fingerprints: list[str], fetch) -> list[dict]:
         """The entry of each fingerprint, in order. In record mode the
@@ -335,6 +348,14 @@ class TranscriptChatBackend(TranscriptStore):
             info["record_from"] = self.record_from.describe()
         return info
 
+    def _check_entry(self, record: dict) -> None:
+        if not isinstance(record.get("response"), str):
+            raise ValueError("chat entry without a string 'response'")
+        try:
+            Usage(int(record["prompt_tokens"]), int(record["completion_tokens"]))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError("chat entry token counts are not non-negative integers") from None
+
     def chat(self, request: ChatRequest) -> tuple[str, Usage]:
         def fetch(_missing):
             text, usage = self.record_from.chat(request)
@@ -353,6 +374,12 @@ class TranscriptEmbedBackend(TranscriptStore):
 
     def describe(self) -> dict:
         return {"kind": "transcript", "path": str(self.path), "model": self.model}
+
+    def _check_entry(self, record: dict) -> None:
+        vector = record.get("vector")
+        # JSON numbers load as int or float; a bool is neither here
+        if not (isinstance(vector, list) and vector and all(type(x) in (int, float) for x in vector)):
+            raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:

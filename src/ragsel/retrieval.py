@@ -270,18 +270,19 @@ class EmbeddingCache:
         return cls(vectors)
 
 
-# passages per embed call, and embed calls in flight at once
-EMBED_BATCH_SIZE = 16
-EMBED_PARALLELISM = 2
+# passages per embed call, and embed calls in flight at once (within gateway.MAX_INFLIGHT)
+EMBED_BATCH_SIZE = 64
+EMBED_PARALLELISM = 4
 
 
 def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) -> np.ndarray:
     """The store's passage vectors as one float64 matrix, in store order.
 
-    Each distinct text missing from the cache is embedded once, in batches
-    of ``EMBED_BATCH_SIZE`` on a pool of ``EMBED_PARALLELISM`` threads. When
-    anything was embedded or pruned, the cache is rewritten to hold exactly
-    the store's fingerprints.
+    Each distinct text missing from the cache is embedded once: one call
+    per ``EMBED_BATCH_SIZE`` of them, at most ``EMBED_PARALLELISM`` calls in
+    flight. When anything was embedded or pruned, the cache is rewritten to
+    hold exactly the store's fingerprints, in store order; so the file and
+    the matrix do not depend on the batch size or the parallelism.
     """
     cache_path = Path(cache_path)
     cache = EmbeddingCache.load(cache_path) if cache_path.exists() else EmbeddingCache()

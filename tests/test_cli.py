@@ -571,12 +571,28 @@ def test_cli_malformed_transcript_is_an_input_error(tmp_path, capsys, content):
     ids=["select", "retrieve"],
 )
 def test_cli_backend_errors_are_input_errors(tmp_path, capsys, argv):
-    # neither the listwise prompt nor any embedding request is in the transcript
+    # neither the listwise prompt nor any embedding request is in its transcript
     config_path = build_workspace(tmp_path)
+    (tmp_path / "emb_transcript.jsonl").write_text("", encoding="utf-8")
     dense = ["--set", f"paths.embedding_cache={tmp_path / 'emb.jsonl'}",
-             "--set", f"embedding_backend.transcript={tmp_path / 'chat.jsonl'}"]
+             "--set", f"embedding_backend.transcript={tmp_path / 'emb_transcript.jsonl'}"]
     assert main([*argv, "--config", str(config_path), *dense]) == 2
     assert capsys.readouterr().err.startswith("error: no transcript entry for request fingerprint")
+
+
+@pytest.mark.parametrize("extra", [{}, {"vector": ["x", 1.0]}], ids=["no-vector", "string-in-vector"])
+def test_cli_malformed_embed_transcript_is_an_input_error(tmp_path, capsys, extra):
+    config_path = build_workspace(tmp_path)
+    store = load_corpus(tmp_path / "corpus.jsonl")
+    write_jsonl(tmp_path / "emb_transcript.jsonl",
+                [{"fingerprint": text_fingerprint("embedder", p.text), **extra} for p in store])
+    dense = ["--set", f"paths.embedding_cache={tmp_path / 'emb.jsonl'}",
+             "--set", f"embedding_backend.transcript={tmp_path / 'emb_transcript.jsonl'}"]
+    assert main(["retrieve", "--retriever", "dense", "--query", "apple", "--config", str(config_path), *dense]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "emb_transcript.jsonl: line 1: embed entry without a non-empty list of numbers as 'vector'" in err
+    assert not (tmp_path / "emb.jsonl").exists()
 
 
 def test_cli_ragged_embeddings_are_an_input_error(tmp_path, capsys):

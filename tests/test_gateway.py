@@ -14,6 +14,7 @@ from ragsel.gateway import (
     HttpEmbedBackend,
     TranscriptChatBackend,
     TranscriptEmbedBackend,
+    TranscriptError,
     TranscriptMissError,
     TransportError,
     Usage,
@@ -115,6 +116,48 @@ def test_transcript_miss_names_fingerprint(tmp_path):
 def test_transcript_missing_file_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         TranscriptChatBackend(tmp_path / "absent.jsonl")
+
+
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        (lambda e: e.pop("response"), "chat entry without a string 'response'"),
+        (lambda e: e.update(response=["pong"]), "chat entry without a string 'response'"),
+        (lambda e: e.pop("completion_tokens"), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens="four"), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens=None), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(completion_tokens=-1), "chat entry token counts are not non-negative integers"),
+    ],
+    ids=["no-response", "list-response", "no-count", "word-count", "null-count", "negative-count"],
+)
+def test_chat_transcript_rejects_malformed_entries_on_load(tmp_path, damage, fragment):
+    path = tmp_path / "t.jsonl"
+    bad = _entry("m", "ping", "pong")
+    damage(bad)
+    write_jsonl(path, [_entry("m", "ok", "fine"), bad])
+    with pytest.raises(TranscriptError, match=f"t.jsonl: line 2: {fragment}"):
+        TranscriptChatBackend(path)
+
+
+def test_chat_transcript_takes_counts_that_int_takes(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [{**_entry("m", "ping", "pong"), "prompt_tokens": "4", "completion_tokens": 2.0}])
+    assert TranscriptChatBackend(path).chat(user_request("m", "ping")) == ("pong", Usage(4, 2))
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [None, [], ["x", 1.0], [True, 0.0], [[1.0]], {"0": 1.0}, "1.0"],
+    ids=["no-vector", "empty", "string-in-vector", "bool-in-vector", "nested", "dict", "string"],
+)
+def test_embed_transcript_rejects_malformed_entries_on_load(tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    bad = {"fingerprint": text_fingerprint("emb", "b")}
+    if vector is not None:
+        bad["vector"] = vector
+    write_jsonl(path, [{"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 0.5]}, bad])
+    with pytest.raises(TranscriptError, match="emb.jsonl: line 2: embed entry without a non-empty list of numbers"):
+        TranscriptEmbedBackend(path, model="emb")
 
 
 class StubLiveChat:
@@ -355,6 +398,29 @@ def test_http_embed_success_and_uniform_dims(scripted_server):
     assert vectors == [[1.0, 0.0], [0.0, 1.0]]
     assert log[0]["path"] == "/embeddings"
     assert log[0]["payload"] == {"model": "emb", "input": ["a", "b"]}
+
+
+def test_http_embed_places_rows_by_their_index(scripted_server):
+    rows = [{"index": 2, "embedding": [2.0]}, {"index": 1, "embedding": [1.0]}, {"index": 0, "embedding": [0.0]}]
+    with scripted_server([(200, {"data": rows})]) as (endpoint, _):
+        backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        assert backend.embed(["a", "b", "c"]) == [[0.0], [1.0], [2.0]]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[0, 0, 2], [1, 2, 3], [0, 2], [0, True, 2], [0, "1", 2]],
+    ids=["duplicate", "one-based", "one-without", "bool", "string"],
+)
+def test_http_embed_bad_row_indices_are_api_errors(scripted_server, indices):
+    rows = [{"embedding": [float(n)]} for n in range(3)]
+    for row, index in zip(rows, indices):  # a shorter list leaves the last row without one
+        row["index"] = index
+    with scripted_server([(200, {"data": rows})]) as (endpoint, _):
+        backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        with pytest.raises(ApiError, match=r"malformed response body .*'index' fields are not 0\.\.2 once each") as err:
+            backend.embed(["a", "b", "c"])
+    assert err.value.status == 200
 
 
 def test_http_embed_inconsistent_dims_error(scripted_server):

@@ -13,7 +13,7 @@ import pytest
 from ragsel import retrieval
 from ragsel.corpus import Passage, PassageStore
 from ragsel.files import write_jsonl
-from ragsel.gateway import TranscriptEmbedBackend, text_fingerprint
+from ragsel.gateway import MAX_INFLIGHT, TranscriptEmbedBackend, text_fingerprint
 from ragsel.retrieval import (
     AnalyzerConfig,
     Candidate,
@@ -669,18 +669,63 @@ def test_precompute_threads_stay_within_parallelism(tmp_path, monkeypatch):
 
 
 class RecordingEmbedBackend:
-    """Counts every text it embeds; slow enough that concurrent callers overlap."""
+    """Counts every text it embeds, each call's size and the most calls in
+    flight at once; slow enough that concurrent callers overlap."""
 
     def __init__(self, model="emb-1"):
         self.model = model
         self.texts = Counter()
+        self.sizes = []
+        self.inflight = self.peak_inflight = 0
         self._lock = threading.Lock()
 
     def embed(self, texts):
+        with self._lock:
+            self.inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self.inflight)
         time.sleep(0.01)
         with self._lock:
+            self.inflight -= 1
             self.texts.update(texts)
+            self.sizes.append(len(texts))
         return [[float(len(t)), 1.0] for t in texts]
+
+
+@pytest.mark.parametrize("settings", [None, (3, 2)], ids=["defaults", "3-per-call-2-in-flight"])
+def test_precompute_batches_the_distinct_missing_texts(tmp_path, monkeypatch, settings):
+    if settings:
+        monkeypatch.setattr(retrieval, "EMBED_BATCH_SIZE", settings[0])
+        monkeypatch.setattr(retrieval, "EMBED_PARALLELISM", settings[1])
+    batch, parallelism = retrieval.EMBED_BATCH_SIZE, retrieval.EMBED_PARALLELISM
+    assert parallelism <= MAX_INFLIGHT
+    distinct = 2 * batch + 1
+    texts = [f"passage {i}" for i in range(distinct)] + ["passage 0"]
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=t) for i, t in enumerate(texts)])
+    backend = RecordingEmbedBackend()
+    precompute_embeddings(backend, store, tmp_path / "emb.jsonl")
+    assert len(backend.sizes) == math.ceil(distinct / batch)
+    assert max(backend.sizes) <= batch
+    assert backend.peak_inflight <= parallelism
+    assert backend.texts == Counter(texts[:distinct])
+
+
+def test_precompute_output_does_not_depend_on_batching(tmp_path, monkeypatch):
+    texts = [f"text {i % 150}" for i in range(200)]  # repeats among them
+    table = {t: [float(n), 1.0] for n, t in enumerate(dict.fromkeys(texts))}
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=t) for i, t in enumerate(texts)])
+    # a warm start: some store texts in another order, and one the store lacks
+    warm = [{"fingerprint": text_fingerprint("emb-1", t), "vector": table.get(t, [9.0, 9.0])}
+            for t in [*texts[90:30:-7], "gone"]]
+    outputs = []
+    for settings in [(1, 1), (retrieval.EMBED_BATCH_SIZE, retrieval.EMBED_PARALLELISM)]:
+        monkeypatch.setattr(retrieval, "EMBED_BATCH_SIZE", settings[0])
+        monkeypatch.setattr(retrieval, "EMBED_PARALLELISM", settings[1])
+        path = tmp_path / f"emb-{settings[0]}-{settings[1]}.jsonl"
+        write_jsonl(path, warm)
+        matrix = precompute_embeddings(FakeEmbedBackend("emb-1", table, dim=2), store, path)
+        outputs.append((matrix.tolist(), path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == [table[t] for t in texts]
 
 
 def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
