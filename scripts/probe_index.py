@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Time each step of a cold BM25 set-up on generated corpora, one process per size.
+
+    python scripts/probe_index.py --sizes 2000,10000,100000 [--seed 7]
+
+For each size, ``bench/gen.py`` writes its seeded inputs into a temporary
+directory, and a fresh interpreter times, in order: the corpus file's
+sha256, JSON parsing alone (``files.iter_jsonl``), ``load_corpus``,
+``PassageStore.digest``, ``build_index``, ``save_index``, ``load_index``,
+and BM25 ``search`` at k = 20 over the generated questions. One JSON object
+per size goes to stdout, with the index file's bytes and the peak RSS of
+the measuring process, which does not include the generator's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+K = 20
+
+
+def measure(inputs: Path) -> dict:
+    """The timings of one cold set-up over the inputs in ``inputs``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from ragsel.corpus import CorpusError, load_corpus, load_questions
+    from ragsel.files import iter_jsonl
+    from ragsel.retrieval import build_index, load_index, save_index, search
+
+    corpus, index_path = inputs / "corpus.jsonl", inputs / "index.npz"
+    record = {}
+
+    def timed(name, step):
+        start = time.perf_counter()
+        value = step()
+        record[name] = round(time.perf_counter() - start, 4)
+        return value
+
+    timed("sha256_s", lambda: hashlib.sha256(corpus.read_bytes()).hexdigest())
+    timed("iter_jsonl_s", lambda: sum(1 for _ in iter_jsonl(corpus, CorpusError)))
+    store = timed("load_corpus_s", lambda: load_corpus(corpus))
+    timed("digest_s", store.digest)
+    index = timed("build_index_s", lambda: build_index(store))
+    timed("save_index_s", lambda: save_index(index, index_path))
+    del index
+    index = timed("load_index_s", lambda: load_index(index_path))
+    questions = [q.question for q in load_questions(inputs / "questions.jsonl")]
+    start = time.perf_counter()
+    for question in questions:
+        search(index, question, K)
+    record["search_ms_per_query"] = round(1000 * (time.perf_counter() - start) / len(questions), 4)
+    record["queries"] = len(questions)
+    record["index_bytes"] = index_path.stat().st_size
+    record["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return record
+
+
+def probe(passages: int, seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        sizes = f"{passages},{min(600, passages // 4)},1,10"
+        gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--out", tmp, "--seed", str(seed), "--sizes", sizes]
+        subprocess.run(gen, check=True)
+        child = [sys.executable, str(Path(__file__).resolve()), "--measure", tmp]
+        measured = json.loads(subprocess.run(child, check=True, capture_output=True, text=True).stdout)
+    return {"passages": passages, "seed": seed, **measured}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="2000", help="comma-separated passage counts")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)  # the per-size child process
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    sizes = [int(n) for n in args.sizes.split(",")]
+    if min(sizes) < 4:
+        # bench/gen.py writes passages // 4 questions, and search is timed per question
+        parser.error("each size must be at least 4 passages")
+    for passages in sizes:
+        print(json.dumps(probe(passages, args.seed)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

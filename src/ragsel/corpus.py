@@ -184,7 +184,11 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
             if not isinstance(title, str):
                 raise CorpusError(f"{path}: line {lineno}: field 'title' must be a string")
             title = fix_text(title) or None
-        pieces = [text] if chunk_limit is None else chunk_text(text, chunk_limit)
+        # fix_text leaves one space between words: counting spaces spares a second split
+        if chunk_limit is None or text.count(" ") < chunk_limit:
+            pieces = [text]
+        else:
+            pieces = chunk_text(text, chunk_limit)
         for n, piece in enumerate(pieces):
             piece_id = pid if len(pieces) == 1 else f"{pid}#{n}"
             if piece_id in seen:

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import requests
 
@@ -264,6 +264,29 @@ class HttpEmbedBackend(HttpClient):
         return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
 
 
+def iter_entries(path: str | Path, check_entry, error: type[Exception]) -> Iterator[dict]:
+    """Each entry of a transcript-format file, in file order. A line without
+    a string 'fingerprint', or that ``check_entry`` rejects with ValueError,
+    raises ``error`` naming the path and line."""
+    for lineno, record in iter_jsonl(path, error):
+        try:
+            if not isinstance(record.get("fingerprint"), str):
+                raise ValueError("transcript entry without a fingerprint")
+            check_entry(record)
+        except ValueError as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from None
+        yield record
+
+
+def check_embed_entry(record: dict) -> None:
+    """Raise ValueError unless ``record`` holds a non-empty list of numbers as 'vector'."""
+    vector = record.get("vector")
+    # JSON numbers load as int or float; a bool is neither here. The set of
+    # types is built in C: a warm embedding cache checks every float it reads
+    if not (isinstance(vector, list) and vector and set(map(type, vector)) <= {int, float}):
+        raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
+
+
 class TranscriptStore:
     """Transcript entries keyed by request fingerprint.
 
@@ -276,7 +299,6 @@ class TranscriptStore:
     def __init__(self, path: str | Path, record_from=None):
         self.path = Path(path)
         self.record_from = record_from
-        self._entries: dict[str, dict] = {}
         self._inflight: dict[str, Future] = {}
         self._lock = threading.Lock()
         if record_from is not None:
@@ -284,14 +306,8 @@ class TranscriptStore:
                 pass
         elif not self.path.exists():
             raise FileNotFoundError(f"transcript file not found: {self.path}")
-        for lineno, record in iter_jsonl(self.path, TranscriptError):
-            try:
-                if not isinstance(record.get("fingerprint"), str):
-                    raise ValueError("transcript entry without a fingerprint")
-                self._check_entry(record)
-            except ValueError as exc:
-                raise TranscriptError(f"{self.path}: line {lineno}: {exc}") from None
-            self._entries[record["fingerprint"]] = record
+        entries = iter_entries(self.path, self._check_entry, TranscriptError)
+        self._entries = {entry["fingerprint"]: entry for entry in entries}
 
     def _check_entry(self, record: dict) -> None:
         """Raise ValueError unless ``record`` holds what a replay reads from it."""
@@ -375,11 +391,7 @@ class TranscriptEmbedBackend(TranscriptStore):
     def describe(self) -> dict:
         return {"kind": "transcript", "path": str(self.path), "model": self.model}
 
-    def _check_entry(self, record: dict) -> None:
-        vector = record.get("vector")
-        # JSON numbers load as int or float; a bool is neither here
-        if not (isinstance(vector, list) and vector and all(type(x) in (int, float) for x in vector)):
-            raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
+    _check_entry = staticmethod(check_embed_entry)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:

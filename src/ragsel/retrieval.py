@@ -9,16 +9,29 @@ The BM25 variant is pinned:
 with k1=1.2, b=0.75 by default. idf is strictly positive for every indexed
 term, so zero-score passages are exactly those sharing no term with the
 query.
+
+How ``build_index`` counts: each passage is split once on whitespace, and
+each distinct piece is analyzed once, when first seen, so term ids follow
+first occurrence. That gives the text's own terms because no code point
+is both a word character and whitespace, and lowercasing's one context
+rule, final sigma, never looks across whitespace. Each piece's term ids
+go to one flat table, so a piece with one term, several or none costs
+one dict lookup, and numpy gathers the ids. Per block of passages,
+``np.unique`` over (term id, row) keys yields each posting's tf, appended
+to int32 columns; one stable sort by term then gives every term's rows in
+ascending order. idf and the impacts are computed in the scalar formula's
+operation order, so they equal it bit for bit.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
 import re
 import zipfile
-from collections import Counter, defaultdict
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,10 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PassageStore
-from .files import iter_jsonl, replace_atomically, write_jsonl
-from .gateway import text_fingerprint
+from .files import replace_atomically, write_jsonl
+from .gateway import check_embed_entry, iter_entries, text_fingerprint
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
+# passages counted per np.unique call: it bounds the Python lists of term ids held at once
+_BLOCK = 256
 
 
 class RetrievalError(ValueError):
@@ -139,6 +154,50 @@ def _csr_slices(terms: Sequence[str], offsets: np.ndarray) -> dict[str, slice]:
     return dict(zip(terms, map(slice, offsets[:-1].tolist(), offsets[1:].tolist())))
 
 
+def _postings(
+    store: PassageStore, analyzer: AnalyzerConfig, vocab: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The term id, row and tf of every posting as int32 arrays, ordered by
+    block, then term, then row; and each passage's term count. ``vocab``
+    gives each new term the next id."""
+    memo: dict[str, int] = {}  # whitespace piece -> its number, in first-seen order
+    # piece i's term ids are piece_terms[bounds[i] : bounds[i + 1]]
+    bounds, piece_terms = array.array("q", [0]), array.array("q")
+    passages = list(store)
+    lengths = np.empty(len(passages), dtype=np.int64)
+    # one buffer per column, grown in place: per-block arrays kept to the end
+    # would be interleaved with each block's temporaries and fragment the heap
+    columns = array.array("i"), array.array("i"), array.array("i")
+    for start in range(0, len(passages), _BLOCK):
+        pieces = [p.text.split() for p in passages[start : start + _BLOCK]]
+        flat = list(itertools.chain.from_iterable(pieces))
+        # the filter reads ``memo`` as it grows: each new piece is analyzed at
+        # its first occurrence, so ids go to terms in first-seen order
+        for piece in itertools.filterfalse(memo.__contains__, flat):
+            memo[piece] = len(memo)
+            piece_terms.extend([vocab[term] for term in analyze(piece, analyzer)])
+            bounds.append(len(piece_terms))
+        numbers = np.fromiter(map(memo.__getitem__, flat), np.int64, len(flat))
+        # each view of a table is indexed at once and dropped: a live view stops the table growing
+        first = np.frombuffer(bounds, np.int64)[numbers]
+        sizes = np.frombuffer(bounds, np.int64)[numbers + 1] - first
+        m = len(pieces)
+        # each term's row in the block: its piece's passage, repeated per term of the piece
+        block_rows = np.repeat(np.repeat(np.arange(m), list(map(len, pieces))), sizes)
+        lengths[start : start + m] = np.bincount(block_rows, minlength=m)
+        # each term's place in piece_terms: its piece's first place plus its rank in the piece
+        at = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(len(block_rows))
+        # one key per (term, row in block): sorting the keys groups each term's rows in order
+        keys = np.frombuffer(piece_terms, np.int64)[at] * m
+        keys += block_rows
+        keys, tf = np.unique(keys, return_counts=True)
+        terms, rows = np.divmod(keys, m)
+        for column, values in zip(columns, (terms, rows + start, tf)):
+            column.frombytes(values.astype(np.int32).tobytes())
+    terms, rows, tf = (np.frombuffer(column, dtype=np.int32) for column in columns)
+    return terms, rows, tf, lengths
+
+
 def build_index(
     store: PassageStore,
     analyzer: AnalyzerConfig = AnalyzerConfig(),
@@ -152,26 +211,32 @@ def build_index(
     if not 0.0 <= b <= 1.0:
         raise RetrievalError(f"b must be in [0, 1], got {b}")
     vocab: dict[str, int] = defaultdict(itertools.count().__next__)  # term -> id, first seen first
-    ids, lengths, distinct, term_ids, tfs = [], [], [], [], []
-    for passage in store:
-        counts = Counter(analyze(passage.text, analyzer))
-        ids.append(passage.id)
-        lengths.append(counts.total())
-        distinct.append(len(counts))
-        term_ids.extend(map(vocab.__getitem__, counts))
-        tfs.extend(counts.values())
+    # the piece memo is gone once _postings returns; each array below is freed when done with
+    terms, rows, tf, lengths = _postings(store, analyzer, vocab)
     # group the postings by term; the stable sort keeps each term's rows ascending
-    order = np.argsort(term_ids, kind="stable")
-    rows = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)[order]
-    tf = np.array(tfs, dtype=np.float64)[order]
-    df = np.bincount(term_ids, minlength=len(vocab))
+    order = np.argsort(terms, kind="stable")
+    df = np.bincount(terms, minlength=len(vocab))
+    del terms
+    rows = rows[order]
+    tf = tf[order]
+    del order
+    n = len(lengths)
     # math.log, not np.log, so each idf rounds as the scalar formula does
-    idf = np.array([math.log(1.0 + (len(ids) - d + 0.5) / (d + 0.5)) for d in df.tolist()])
-    # the scalar formula's operation order, elementwise, so impacts match it bit for bit
-    norm = 1.0 - b + b * np.array(lengths, dtype=np.float64)[rows] / (sum(lengths) / len(lengths))
-    impacts = np.repeat(idf, df) * tf * (k1 + 1.0) / (tf + k1 * norm)
+    idf = np.array(list(map(math.log, (1.0 + (n - df + 0.5) / (df + 0.5)).tolist())))
+    # the scalar formula's operation order, in place, so impacts match it bit for bit
+    norm = lengths.astype(np.float64)[rows]
+    norm *= b
+    norm /= int(lengths.sum()) / n
+    norm += 1.0 - b
+    norm *= k1
+    norm += tf
+    impacts = np.repeat(idf, df)
+    impacts *= tf
+    impacts *= k1 + 1.0
+    impacts /= norm
+    del norm, tf
     offsets = np.concatenate(([0], np.cumsum(df)))
-    return Bm25Index(ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer, store.digest())
+    return Bm25Index(store.ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer, store.digest())
 
 
 def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> CandidateList:
@@ -257,17 +322,11 @@ class EmbeddingCache:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
-        """Read a save file; a malformed line raises RetrievalError naming it."""
-        vectors = {}
-        for lineno, record in iter_jsonl(path, RetrievalError):
-            fingerprint, vector = record.get("fingerprint"), record.get("vector")
-            try:
-                if not isinstance(fingerprint, str) or not isinstance(vector, list):
-                    raise ValueError("expected a string 'fingerprint' and a list 'vector'")
-                vectors[fingerprint] = np.array(vector, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise RetrievalError(f"{path}: line {lineno}: not an embedding cache line: {exc}") from None
-        return cls(vectors)
+        """Read a save file by the embed transcript's entry rule; a malformed
+        line raises RetrievalError naming it."""
+        entries = iter_entries(path, check_embed_entry, RetrievalError)
+        # one array per line as it is read: the file's floats are never all Python objects at once
+        return cls({entry["fingerprint"]: np.array(entry["vector"], dtype=np.float64) for entry in entries})
 
 
 # passages per embed call, and embed calls in flight at once (within gateway.MAX_INFLIGHT)

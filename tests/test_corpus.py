@@ -191,6 +191,25 @@ def test_chunking_700_words_limit_300_gives_three_chunks(tmp_path):
     assert all(p.doc_id == "d" for p in store)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("boundary", [False, True])
+def test_load_corpus_chunks_at_the_limit_as_chunk_text_does(tmp_path, extra, boundary):
+    # limit + extra words around tabs, space runs, a control character and
+    # bracketed ids: load_corpus counts the spaces of the cleaned text
+    limit = 12
+    words = [f"[{j}]" if j % 4 == 0 else f"w{j}" for j in range(limit + extra)]
+    if boundary:
+        words[5] += "."
+    seps = ["  ", "\t", " \x00 ", " \u3000"]
+    raw = "\t " + "".join(word + seps[j % 4] for j, word in enumerate(words)) + "\n"
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"id": "x", "doc_id": "d", "text": raw}])
+    want = chunk_text(rewrite_bracket_ids(fix_text(raw)), limit)
+    assert [p.text for p in load_corpus(path, chunk_limit=limit)] == want
+    assert len(want) == (2 if extra and boundary else 1)
+    assert word_count(" ".join(want)) == limit + extra
+
+
 def test_chunking_disabled_with_none(tmp_path):
     text = " ".join(_sentence(i) for i in range(70))
     path = tmp_path / "corpus.jsonl"

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
 import random
+import re
+import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from ragsel import retrieval
 from ragsel.corpus import Passage, PassageStore
 from ragsel.files import write_jsonl
-from ragsel.gateway import MAX_INFLIGHT, TranscriptEmbedBackend, text_fingerprint
+from ragsel.gateway import MAX_INFLIGHT, TranscriptEmbedBackend, TranscriptError, text_fingerprint
 from ragsel.retrieval import (
     AnalyzerConfig,
     Candidate,
@@ -102,6 +105,105 @@ def test_build_index_validates_parameters():
         build_index(store, k1=0.0)
     with pytest.raises(RetrievalError, match="b must"):
         build_index(store, b=1.5)
+
+
+def counter_build(store, analyzer=AnalyzerConfig(), k1=1.2, b=0.75):
+    """The build before block counting: one Counter per passage, Python posting
+    lists. The reference for build_index's terms order, rows and impacts."""
+    vocab = defaultdict(itertools.count().__next__)
+    ids, lengths, distinct, term_ids, tfs = [], [], [], [], []
+    for passage in store:
+        counts = Counter(analyze(passage.text, analyzer))
+        ids.append(passage.id)
+        lengths.append(counts.total())
+        distinct.append(len(counts))
+        term_ids.extend(map(vocab.__getitem__, counts))
+        tfs.extend(counts.values())
+    order = np.argsort(term_ids, kind="stable")
+    rows = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)[order]
+    tf = np.array(tfs, dtype=np.float64)[order]
+    df = np.bincount(term_ids, minlength=len(vocab))
+    idf = np.array([math.log(1.0 + (len(ids) - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    norm = 1.0 - b + b * np.array(lengths, dtype=np.float64)[rows] / (sum(lengths) / len(lengths))
+    impacts = np.repeat(idf, df) * tf * (k1 + 1.0) / (tf + k1 * norm)
+    return list(vocab), np.cumsum(df).tolist(), rows, impacts
+
+
+def assert_builds_alike(store, analyzer, k1=1.2, b=0.75):
+    index = build_index(store, analyzer, k1, b)
+    terms, ends, rows, impacts = counter_build(store, analyzer, k1, b)
+    assert list(index.terms) == terms
+    assert [span.stop for span in index.terms.values()] == ends
+    assert index.rows.dtype == rows.dtype and index.rows.tobytes() == rows.tobytes()
+    assert index.impacts.dtype == np.float64 and index.impacts.tobytes() == impacts.tobytes()
+
+
+def test_whitespace_never_joins_a_term_or_a_case_rule():
+    # build_index analyzes each whitespace piece alone; these facts make that exact
+    whitespace = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(whitespace) == 29
+    assert not any(re.match(r"\w", c) for c in whitespace)
+    for ws in whitespace:
+        assert f"a{ws}b".split() == ["a", "b"]
+        # final sigma looks past case-ignorable characters only; whitespace is not one
+        assert f"AΣ{ws}A".lower() == f"aς{ws}a"
+        assert f"A{ws}Σ".lower() == f"a{ws}σ"
+
+
+ANALYZERS = [
+    AnalyzerConfig(),
+    AnalyzerConfig(lowercase=False),
+    AnalyzerConfig(stopwords=frozenset({"the", "a", "don", "t", "οδος"})),
+    AnalyzerConfig(lowercase=False, stopwords=frozenset({"The", "v1", "ΟΔΟΣ"})),
+]
+PIECES = [
+    "v1,v2", "don't", "Don't", "DON'T", "ΟΔΟΣ.", "οδοσ", "ΟΔΟΣ", "Straße", "naïve", "café",
+    "東京", "١٢٣", "İstanbul", "ǅemal", "_x_", "the", "The", "a", "—", "...", "!!", "(3)", "w1", "W1",
+]
+SEPARATORS = [" ", "  ", "\t", "\u3000", " \u00a0 ", "\n", "\u2028"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 256])
+def test_build_index_equals_the_counter_reference(monkeypatch, block):
+    monkeypatch.setattr(retrieval, "_BLOCK", block)
+    rng = random.Random(block)
+    fixed = [
+        "v1,v2 don't Don't DON'T v1",
+        "ΟΔΟΣ. οδοσ ΟΔΟΣ",
+        "tab\tthen  two spaces\u3000ideographic",
+        "the a the",  # every term a stopword under one analyzer
+        "— ... !!",  # no term at all
+    ]
+    for trial in range(12):
+        texts = fixed + [
+            rng.choice(SEPARATORS).join(rng.choice(PIECES) for _ in range(rng.randrange(1, 12)))
+            for _ in range(rng.randrange(1, 10))
+        ]
+        rng.shuffle(texts)
+        store = PassageStore(Passage(id=f"p{i}", doc_id="d", text=t) for i, t in enumerate(texts))
+        k1, b = rng.choice([(1.2, 0.75), (0.9, 0.4), (2.0, 1.0), (1.2, 0.0)])
+        for analyzer in ANALYZERS:
+            assert_builds_alike(store, analyzer, k1, b)
+    no_terms = PassageStore([Passage("p", "d", "— !!"), Passage("q", "d", "the")])
+    assert_builds_alike(no_terms, ANALYZERS[2])  # "the" is a stopword: an index without terms
+
+
+def test_build_index_transient_memory_stays_near_the_index_size():
+    rng = np.random.default_rng(11)
+    ranks = rng.zipf(1.2, size=8000 * 60) % 30_000
+    store = PassageStore(
+        Passage(id=f"p{i}", doc_id="d", text=" ".join(f"w{r}" for r in ranks[i * 60 : (i + 1) * 60]))
+        for i in range(8000)
+    )
+    # the build's transient peak, beyond what the returned index keeps, is bounded by the index arrays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_index(store)
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak - retained <= 2 * (index.rows.nbytes + index.impacts.nbytes)
 
 
 def scores_of(index, query):
@@ -762,7 +864,8 @@ def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
     assert retained < 1.5 * retriever.matrix.nbytes
 
 
-BAD_ENTRY = "line 4: not an embedding cache line: expected a string 'fingerprint' and a list 'vector'"
+NO_FINGERPRINT = "line 4: transcript entry without a fingerprint"
+BAD_VECTOR = "line 4: embed entry without a non-empty list of numbers as 'vector'"
 FP = text_fingerprint("emb-1", "delta")
 
 
@@ -770,21 +873,26 @@ FP = text_fingerprint("emb-1", "delta")
     "damage,fragment",
     [
         (lambda text: text[:-10], "line 3: invalid JSON"),  # an interrupted write cuts the last line
-        (lambda text: text + json.dumps({"fingerprint": FP}) + "\n", BAD_ENTRY),
-        (lambda text: text + '{"vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
-        (lambda text: text + json.dumps({"fingerprint": FP, "vector": None}) + "\n", BAD_ENTRY),
-        (lambda text: text + '{"fingerprint": 4, "vector": [1, 0, 0, 0]}\n', BAD_ENTRY),
+        (lambda text: text + json.dumps({"fingerprint": FP}) + "\n", BAD_VECTOR),
+        (lambda text: text + '{"vector": [1, 0, 0, 0]}\n', NO_FINGERPRINT),
+        (lambda text: text + json.dumps({"fingerprint": FP, "vector": None}) + "\n", BAD_VECTOR),
+        (lambda text: text + '{"fingerprint": 4, "vector": [1, 0, 0, 0]}\n', NO_FINGERPRINT),
+        (lambda text: text + json.dumps({"fingerprint": FP, "vector": ["x", 0, 0, 0]}) + "\n", BAD_VECTOR),
         (
-            lambda text: text + json.dumps({"fingerprint": FP, "vector": ["x", 0, 0, 0]}) + "\n",
-            "line 4: not an embedding cache line: could not convert string to float",
+            lambda text: text + json.dumps({"fingerprint": FP, "vector": [True, False, False, False]}) + "\n",
+            BAD_VECTOR,
         ),
+        (lambda text: text + json.dumps({"fingerprint": FP, "vector": []}) + "\n", BAD_VECTOR),
         (
             # the earlier format: a {"model", "dim"} header, then entries keyed by passage id
             lambda text: '{"model": "emb-1", "dim": 4}\n{"id": "p1", "vector": [1.0, 0.0, 0.0, 0.0]}\n',
-            "line 1: not an embedding cache line",
+            "line 1: transcript entry without a fingerprint",
         ),
     ],
-    ids=["truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector", "old-header"],
+    ids=[
+        "truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector",
+        "bool-vector", "empty-vector", "old-header",
+    ],
 )
 def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
     store, backend = _dense_fixture()
@@ -795,3 +903,5 @@ def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
         EmbeddingCache.load(path)
     with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
         DenseRetriever(backend, store, path)
+    with pytest.raises(TranscriptError, match=f"emb.jsonl: {fragment}"):  # the one rule for both readers
+        TranscriptEmbedBackend(path, "emb-1")
