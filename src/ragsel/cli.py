@@ -310,6 +310,8 @@ def build_backend(cfg: dict, section: str):
     live = None
     if b["kind"] == "http" or b["record"]:
         _expect(bool(b["endpoint"]), f"{section}.endpoint", "required for http or record mode")
+        http_url = b["endpoint"].lower().startswith(("http://", "https://"))
+        _expect(http_url, f"{section}.endpoint", "must be an http(s) URL")
         settings = {key: b[key] for key in HTTP_SETTINGS}
         if embed:
             live = HttpEmbedBackend(b["endpoint"], b["model"], **settings)

@@ -9,16 +9,22 @@ always replay identical responses.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import re
+import ssl
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import requests
+import numpy as np
 
 from .files import appending, iter_jsonl
 
@@ -119,11 +125,11 @@ def text_fingerprint(model: str, text: str) -> str:
     return request_fingerprint(model, [{"role": "user", "content": text}])
 
 
-def _with_retries(call, max_attempts: int, backoff_base: float):
+def _with_retries(call, max_attempts: int, backoff_base: float) -> tuple[int, bytes]:
     """Run ``call`` with retries on transport errors and retryable statuses.
 
-    ``call`` returns a requests.Response; a response with a non-retryable
-    status is returned to the caller for handling.
+    ``call`` returns ``(status, body bytes)``; a non-retryable status is
+    returned to the caller for handling.
     """
     last_error: Exception | None = None
     last_status: int | None = None
@@ -131,24 +137,45 @@ def _with_retries(call, max_attempts: int, backoff_base: float):
         if attempt:
             time.sleep(backoff_base * (2 ** (attempt - 1)))
         try:
-            response = call()
-        except requests.RequestException as exc:
+            status, body = call()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
-        if response.status_code in RETRYABLE_STATUS:
-            last_status = response.status_code
+        if status in RETRYABLE_STATUS:
+            last_status = status
             continue
-        return response
+        return status, body
     if last_status is not None:
         raise TransportError(f"gave up after {max_attempts} attempts; last status {last_status}")
     raise TransportError(f"gave up after {max_attempts} attempts: {last_error}")
+
+
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _int_in_float_range(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("an integer beyond float range")
+    return value
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Hands a 3xx reply back as an HTTPError instead of following it."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 class HttpClient:
     """JSON-over-HTTP client for an OpenAI-compatible endpoint.
 
     Credentials come from the named environment variable, never from the
-    request itself; a semaphore bounds in-flight requests.
+    request itself; a semaphore bounds in-flight requests. The proxy
+    variables are read when the client is built (``no_proxy`` again at each
+    proxied request), a 3xx reply is not followed, and HTTPS checks
+    certificates against the system trust store.
     """
 
     def __init__(
@@ -165,6 +192,10 @@ class HttpClient:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._semaphore = threading.Semaphore(MAX_INFLIGHT)
+        handlers = [_NoRedirect]
+        if self.endpoint.startswith("https:"):  # one TLS context per client, not one per connection
+            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+        self._opener = urllib.request.build_opener(*handlers)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -180,29 +211,39 @@ class HttpClient:
         ``read(decoded body)``. A non-200 status, a body that is not JSON, or
         one that ``read`` cannot take apart raises ApiError."""
 
-        def call():
-            with self._semaphore:
-                return requests.post(
-                    f"{self.endpoint}/{route}",
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
+        url = f"{self.endpoint}/{route}"
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        headers = self._headers()
 
-        response = _with_retries(call, self.max_attempts, self.backoff_base)
-        if response.status_code != 200:
-            raise ApiError(response.status_code, response.text)
+        def call():
+            request = urllib.request.Request(url, data, headers)
+            with self._semaphore:
+                try:
+                    with self._opener.open(request, timeout=self.timeout) as response:
+                        return response.status, response.read()
+                except urllib.error.HTTPError as exc:
+                    with exc:
+                        return exc.code, exc.read()
+
+        status, body = _with_retries(call, self.max_attempts, self.backoff_base)
+        if status != 200:
+            raise ApiError(status, body.decode("utf-8", "replace"))
         try:
-            return read(response.json())
+            # json.loads takes NaN, Infinity and integers of any size; RFC 8259 section 6 has none of them
+            return read(json.loads(body, parse_constant=_not_a_number, parse_int=_int_in_float_range))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise ApiError(200, f"malformed response body ({exc!r}): {response.text[:200]}") from None
+            text = body.decode("utf-8", "replace")[:200]
+            raise ApiError(200, f"malformed response body ({exc!r}): {text}") from None
 
 
 class HttpChatBackend(HttpClient):
     """Chat completions; usage the provider leaves out is estimated locally
     and counted in ``estimated_calls``."""
 
-    estimated_calls = 0
+    def __init__(self, endpoint: str, **settings):
+        super().__init__(endpoint, **settings)
+        self.estimated_calls = 0
+        self._count_lock = threading.Lock()
 
     def describe(self) -> dict:
         return {"kind": "http", "endpoint": self.endpoint, "estimated_usage_calls": self.estimated_calls}
@@ -228,7 +269,8 @@ class HttpChatBackend(HttpClient):
         text, usage = self.post("chat/completions", payload, read)
         if usage is None:
             # Documented fallback: provider sent no usage, estimate locally.
-            self.estimated_calls += 1
+            with self._count_lock:  # worker threads share the backend
+                self.estimated_calls += 1
             prompt_est = sum(estimate_tokens(m["content"]) for m in request.messages)
             usage = Usage(prompt_est, estimate_tokens(text))
         return text, usage
@@ -264,27 +306,37 @@ class HttpEmbedBackend(HttpClient):
         return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
 
 
-def iter_entries(path: str | Path, check_entry, error: type[Exception]) -> Iterator[dict]:
-    """Each entry of a transcript-format file, in file order. A line without
-    a string 'fingerprint', or that ``check_entry`` rejects with ValueError,
-    raises ``error`` naming the path and line."""
+def iter_entries(path: str | Path, check_entry, error: type[Exception]) -> Iterator[tuple[dict, object]]:
+    """Each entry of a transcript-format file, in file order, with what
+    ``check_entry`` returns for it. A line without a string 'fingerprint',
+    or that ``check_entry`` rejects with ValueError, raises ``error`` naming
+    the path and line."""
     for lineno, record in iter_jsonl(path, error):
         try:
             if not isinstance(record.get("fingerprint"), str):
                 raise ValueError("transcript entry without a fingerprint")
-            check_entry(record)
+            checked = check_entry(record)
         except ValueError as exc:
             raise error(f"{path}: line {lineno}: {exc}") from None
-        yield record
+        yield record, checked
 
 
-def check_embed_entry(record: dict) -> None:
-    """Raise ValueError unless ``record`` holds a non-empty list of numbers as 'vector'."""
+def check_embed_entry(record: dict) -> np.ndarray:
+    """The entry's 'vector' as a float64 array; ValueError unless it is a
+    non-empty list of finite numbers."""
     vector = record.get("vector")
     # JSON numbers load as int or float; a bool is neither here. The set of
     # types is built in C: a warm embedding cache checks every float it reads
     if not (isinstance(vector, list) and vector and set(map(type, vector)) <= {int, float}):
         raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
+    # as in an HTTP reply, NaN, Infinity and integers beyond float range are not numbers here
+    try:
+        array = np.array(vector, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("embed entry 'vector' holds an integer beyond float range") from None
+    if not np.isfinite(array).all():
+        raise ValueError("embed entry 'vector' holds NaN or Infinity")
+    return array
 
 
 class TranscriptStore:
@@ -307,7 +359,7 @@ class TranscriptStore:
         elif not self.path.exists():
             raise FileNotFoundError(f"transcript file not found: {self.path}")
         entries = iter_entries(self.path, self._check_entry, TranscriptError)
-        self._entries = {entry["fingerprint"]: entry for entry in entries}
+        self._entries = {entry["fingerprint"]: entry for entry, _ in entries}
 
     def _check_entry(self, record: dict) -> None:
         """Raise ValueError unless ``record`` holds what a replay reads from it."""

@@ -272,8 +272,9 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> Bm25Index:
     """Read a save_index file; any other file raises RetrievalError."""
+    fh = open(path, "rb")  # a file that cannot be opened raises open's OSError, which names it
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        with fh, np.load(fh, allow_pickle=False) as npz:
             header = json.loads(npz["header"].tobytes())
             rows, impacts, offsets = npz["rows"], npz["impacts"], npz["offsets"]
         ids, terms = header["ids"], header["terms"]
@@ -289,7 +290,10 @@ def load_index(path: str | Path) -> Bm25Index:
             raise ValueError("inconsistent index arrays")
         params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
         return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params, header["digest"])
-    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+    # a damaged zip directory also raises NotImplementedError, a RuntimeError ("zip
+    # file version 9.9"), RuntimeError ("is encrypted") or OSError (a seek out of range)
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError, OSError,
+            zipfile.BadZipFile) as exc:
         raise RetrievalError(f"{path}: not a BM25 index file") from exc
 
 
@@ -325,8 +329,8 @@ class EmbeddingCache:
         """Read a save file by the embed transcript's entry rule; a malformed
         line raises RetrievalError naming it."""
         entries = iter_entries(path, check_embed_entry, RetrievalError)
-        # one array per line as it is read: the file's floats are never all Python objects at once
-        return cls({entry["fingerprint"]: np.array(entry["vector"], dtype=np.float64) for entry in entries})
+        # the check's array of each line as it is read: the file's floats are never all Python objects at once
+        return cls({entry["fingerprint"]: vector for entry, vector in entries})
 
 
 # passages per embed call, and embed calls in flight at once (within gateway.MAX_INFLIGHT)

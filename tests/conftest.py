@@ -18,12 +18,18 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         type(self).log.append(
             {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
         )
-        status, body = type(self).script.pop(0) if type(self).script else (500, {"error": "empty script"})
+        step = type(self).script.pop(0) if type(self).script else (500, {"error": "empty script"})
+        if callable(step):  # writes its own reply, or none
+            step(self)
+            return
+        status, body, *headers = step
         # bytes go out verbatim, anything else as JSON
         data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -50,5 +56,7 @@ def _serve(script):
 @pytest.fixture
 def scripted_server():
     """``with scripted_server([(status, body), ...]) as (endpoint, log)``
-    serves the scripted replies to successive POSTs and logs each request."""
+    serves the scripted replies to successive POSTs and logs each request.
+    A step may be ``(status, body, headers)``, or a callable that gets the
+    request handler and writes its own reply, or none."""
     return _serve

@@ -31,7 +31,7 @@ from ragsel.gateway import (
     user_request,
 )
 from ragsel.pipeline import PromptStyle, render_answer_prompt
-from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index, search
+from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, RetrievalError, build_index, load_index, search
 from ragsel.selection import Strategy, render_prompt
 
 # --- config machinery ----------------------------------------------------------
@@ -239,6 +239,9 @@ def test_backend_requirements_checked_at_build():
     with pytest.raises(ConfigError) as excinfo:
         build_backend(cfg, "selection_backend")
     assert "selection_backend.endpoint" in str(excinfo.value)
+    cfg = merge_config(cfg, {"selection_backend": {"endpoint": "api.example.com/v1"}})
+    with pytest.raises(ConfigError, match=r"selection_backend.endpoint: must be an http\(s\) URL"):
+        build_backend(cfg, "selection_backend")
     cfg = default_config()
     with pytest.raises(ConfigError) as excinfo:
         build_backend(cfg, "generation_backend")
@@ -540,6 +543,30 @@ def test_cli_commands_read_the_default_index(tmp_path, capsys):
     capsys.readouterr()
     assert main(["retrieve", "--config", str(config_path), "--query", "apple"]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'out' / 'index.npz'}: not a BM25 index file\n"
+
+
+@pytest.mark.parametrize(
+    "where,value,cause",
+    [("version", 99, NotImplementedError), ("flags", 1, RuntimeError), ("directory-offset", 1, OSError)],
+)
+def test_cli_damaged_zip_directory_is_an_input_error(tmp_path, capsys, where, value, cause):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ["--config", str(tmp_path / "fixtures" / "config.json")]
+    assert main(["index", *config]) == 0
+    path = tmp_path / "fixtures" / ".." / "out" / "index.npz"  # as the config names it
+    data = bytearray(path.read_bytes())
+    # one byte of the zip central directory: rows.npy's entry ("version needed to
+    # extract" at +6, flag bits at +8), or the end record's directory offset (at +16..19)
+    rows_entry = data.rindex(b"PK\x01\x02", 0, data.rindex(b"rows.npy"))
+    offset = {"version": rows_entry + 6, "flags": rows_entry + 8, "directory-offset": data.rindex(b"PK\x05\x06") + 18}
+    data[offset[where]] = value
+    path.write_bytes(data)
+    with pytest.raises(RetrievalError, match="not a BM25 index file") as err:
+        load_index(path)
+    assert isinstance(err.value.__cause__, cause)
+    capsys.readouterr()
+    assert main(["retrieve", *config, "--query", "zebra"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not a BM25 index file\n"
 
 
 def test_cli_select_single_question(tmp_path, capsys):

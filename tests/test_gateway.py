@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import ragsel
 from ragsel.files import write_jsonl
 from ragsel.gateway import (
     ApiError,
@@ -157,6 +162,25 @@ def test_embed_transcript_rejects_malformed_entries_on_load(tmp_path, vector):
         bad["vector"] = vector
     write_jsonl(path, [{"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 0.5]}, bad])
     with pytest.raises(TranscriptError, match="emb.jsonl: line 2: embed entry without a non-empty list of numbers"):
+        TranscriptEmbedBackend(path, model="emb")
+
+
+NOT_A_FLOAT = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize(
+    "number,fragment",
+    [("NaN", "NaN or Infinity"), ("Infinity", "NaN or Infinity"), ("-Infinity", "NaN or Infinity"),
+     (NOT_A_FLOAT, "an integer beyond float range")],
+    ids=["nan", "infinity", "minus-infinity", "huge-int"],
+)
+def test_embed_transcript_rejects_numbers_that_are_not_finite_floats(tmp_path, number, fragment):
+    # json.loads takes all four; none is a JSON number a vector can hold (RFC 8259 section 6)
+    path = tmp_path / "emb.jsonl"
+    good = json.dumps({"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 0.5]})
+    bad = f'{{"fingerprint": "{text_fingerprint("emb", "b")}", "vector": [0.5, {number}]}}'
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=f"emb.jsonl: line 2: embed entry 'vector' holds {fragment}"):
         TranscriptEmbedBackend(path, model="emb")
 
 
@@ -378,6 +402,54 @@ def test_http_chat_estimates_when_usage_missing(scripted_server, tmp_path):
     assert backend.describe()["record_from"] == {"kind": "http", "endpoint": endpoint, "estimated_usage_calls": 1}
 
 
+class _SwitchingCount:
+    """An attribute whose read lets other threads run before the caller
+    writes it back. CPython 3.11 switches threads only at calls and loop
+    edges, so ``self.n += 1`` alone rarely shows a lost update; a lock must
+    cover the read and the write all the same."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__.get("_count", 0)
+        time.sleep(0)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__["_count"] = value
+
+
+class _NoUsageChat(HttpChatBackend):
+    estimated_calls = _SwitchingCount()
+
+    def post(self, route, payload, read):
+        return read(_chat_body("a b"))
+
+
+def test_http_chat_counts_estimated_calls_exactly_across_threads():
+    backend = _NoUsageChat("http://127.0.0.1:1")
+    start = threading.Barrier(16)
+
+    def work():
+        start.wait()
+        for _ in range(200):
+            backend.chat(user_request("m", "q"))
+
+    threads = [threading.Thread(target=work) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert backend.estimated_calls == 16 * 200
+    assert backend.describe()["estimated_usage_calls"] == 16 * 200
+
+
 def test_http_chat_transport_error_on_refused_port():
     backend = HttpChatBackend("http://127.0.0.1:1", backoff_base=0.0, max_attempts=2)
     with pytest.raises(TransportError):
@@ -432,6 +504,20 @@ def test_http_embed_inconsistent_dims_error(scripted_server):
     assert excinfo.value.status == 200
 
 
+@pytest.mark.parametrize(
+    "number", ["NaN", "Infinity", "-Infinity", NOT_A_FLOAT], ids=["nan", "infinity", "minus-infinity", "huge-int"]
+)
+def test_http_embed_number_that_is_not_a_finite_float_is_api_error(scripted_server, number):
+    body = f'{{"data": [{{"embedding": [0.5, 1.0]}}, {{"embedding": [0.5, {number}]}}]}}'.encode()
+    with scripted_server([(200, body)]) as (endpoint, log):
+        backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        not_a_number = r"malformed response body \(ValueError\('(.* is not a JSON number|an integer beyond float range)"
+        with pytest.raises(ApiError, match=not_a_number) as err:
+            backend.embed(["a", "b"])
+    assert err.value.status == 200
+    assert len(log) == 1
+
+
 def test_http_embed_empty_input_no_call():
     backend = HttpEmbedBackend("http://127.0.0.1:1", model="emb")
     assert backend.embed([]) == []
@@ -481,3 +567,76 @@ def test_concurrent_transcript_replay_is_safe(tmp_path):
     for t in threads:
         t.join()
     assert results == {i: f"a{i}" for i in range(20)}
+
+
+# --- transport edges ----------------------------------------------------------
+
+
+def test_http_error_body_that_is_not_utf8(scripted_server):
+    with scripted_server([(400, b"bad \xff\xfe body")]) as (endpoint, _):
+        backend = HttpChatBackend(endpoint, backoff_base=0.0)
+        with pytest.raises(ApiError) as err:
+            backend.chat(user_request("m", "q"))
+    assert (err.value.status, err.value.body) == (400, "bad \ufffd\ufffd body")
+
+
+@pytest.mark.parametrize("status", [302, 307])
+def test_http_redirect_is_an_api_error_and_not_followed(scripted_server, status):
+    script = [
+        (status, {"moved": "elsewhere"}, {"Location": "/elsewhere"}),
+        (200, _chat_body("followed", {"prompt_tokens": 1, "completion_tokens": 1})),
+    ]
+    with scripted_server(script) as (endpoint, log):
+        backend = HttpChatBackend(endpoint, backoff_base=0.0)
+        with pytest.raises(ApiError, match=f"HTTP {status}: .*elsewhere") as err:
+            backend.chat(user_request("m", "q"))
+    assert err.value.status == status
+    assert [entry["path"] for entry in log] == ["/chat/completions"]
+
+
+def _cut_short(handler):
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": [')  # then the server closes the connection
+
+
+def test_http_connection_closed_mid_body_is_retried_then_transport_error(scripted_server):
+    with scripted_server([_cut_short, _cut_short, _cut_short]) as (endpoint, log):
+        backend = HttpChatBackend(endpoint, backoff_base=0.0, max_attempts=3)
+        with pytest.raises(TransportError, match="gave up after 3 attempts: .*IncompleteRead"):
+            backend.chat(user_request("m", "q"))
+    assert len(log) == 3
+
+
+def _stall(handler):
+    time.sleep(0.2)  # longer than the client waits; then the connection closes with no reply
+
+
+def test_http_read_timeout_is_transport_error_after_max_attempts(scripted_server):
+    # the one-thread server is still stalled on the first request when the second times out
+    with scripted_server([_stall, _stall]) as (endpoint, _):
+        backend = HttpChatBackend(endpoint, timeout=0.05, backoff_base=0.0, max_attempts=2)
+        with pytest.raises(TransportError, match="gave up after 2 attempts: .*timed out"):
+            backend.chat(user_request("m", "q"))
+
+
+def test_http_no_proxy_bypasses_a_dead_proxy(monkeypatch, scripted_server):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")  # nothing listens there
+    script = [(200, _chat_body("direct", {"prompt_tokens": 1, "completion_tokens": 1}))]
+    with scripted_server(script) as (endpoint, log):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert HttpChatBackend(endpoint, backoff_base=0.0).chat(user_request("m", "q"))[0] == "direct"
+        monkeypatch.delenv("no_proxy")
+        with pytest.raises(TransportError, match="Connection refused"):
+            HttpChatBackend(endpoint, backoff_base=0.0, max_attempts=2).chat(user_request("m", "q"))
+    assert len(log) == 1
+
+
+def test_importing_ragsel_does_not_import_requests():
+    code = "import sys, ragsel; print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ragsel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"

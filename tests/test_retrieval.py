@@ -866,7 +866,13 @@ def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
 
 NO_FINGERPRINT = "line 4: transcript entry without a fingerprint"
 BAD_VECTOR = "line 4: embed entry without a non-empty list of numbers as 'vector'"
+NOT_FINITE = "line 4: embed entry 'vector' holds NaN or Infinity"
 FP = text_fingerprint("emb-1", "delta")
+
+
+def _with_vector(literal):
+    """A damage that appends an entry whose vector is the given JSON text."""
+    return lambda text: text + f'{{"fingerprint": "{FP}", "vector": {literal}}}\n'
 
 
 @pytest.mark.parametrize(
@@ -883,6 +889,10 @@ FP = text_fingerprint("emb-1", "delta")
             BAD_VECTOR,
         ),
         (lambda text: text + json.dumps({"fingerprint": FP, "vector": []}) + "\n", BAD_VECTOR),
+        (_with_vector("[NaN, 0, 0, 0]"), NOT_FINITE),
+        (_with_vector("[1, Infinity, 0, 0]"), NOT_FINITE),
+        (_with_vector("[1, 0, -Infinity, 0]"), NOT_FINITE),
+        (_with_vector("[1" + "0" * 400 + ", 0, 0, 0]"), "line 4: embed entry 'vector' holds an integer beyond float"),
         (
             # the earlier format: a {"model", "dim"} header, then entries keyed by passage id
             lambda text: '{"model": "emb-1", "dim": 4}\n{"id": "p1", "vector": [1.0, 0.0, 0.0, 0.0]}\n',
@@ -891,7 +901,7 @@ FP = text_fingerprint("emb-1", "delta")
     ],
     ids=[
         "truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector",
-        "bool-vector", "empty-vector", "old-header",
+        "bool-vector", "empty-vector", "nan", "infinity", "minus-infinity", "huge-int", "old-header",
     ],
 )
 def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
