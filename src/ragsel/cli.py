@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, load_corpus, load_questions
+from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, is_string_list, load_corpus, load_questions
 from .distill import VARIANTS, DistillError, run_labeling
 from .files import write_jsonl
 from .gateway import (
@@ -67,9 +67,9 @@ from .selection import SelectionError, Strategy
 STRATEGIES = tuple(s.value for s in Strategy)
 PROMPT_STYLES = tuple(s.value for s in PromptStyle)
 RETRIEVER_KINDS = (Bm25Retriever.name, DenseRetriever.name)
-BACKEND_KINDS = ("transcript", "http")
 BACKEND_SECTIONS = ("selection_backend", "generation_backend", "embedding_backend")
-HTTP_SETTINGS = ("api_key_env", "timeout", "max_attempts", "backoff_base")
+# every HttpClient parameter after the endpoint is a setting of each backend section
+HTTP_SETTINGS = tuple(inspect.signature(HttpClient).parameters)[1:]
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,6 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def _default(func, name: str):
@@ -85,60 +84,94 @@ def _default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
+# A rule: a check on a setting's value, and the message after the key when it
+# fails. An int is never a JSON true; a number is within float range, not NaN.
+def _int(low: int, nullable: bool = False):
+    return (lambda v: (nullable and v is None) or (type(v) is int and v >= low),
+            f"must be a {'positive' if low else 'non-negative'} integer" + " or null" * nullable)
+
+
+def _number(ok, message: str):
+    return lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and ok(v), message
+
+
+def _one_of(allowed):
+    return lambda v: v in allowed, f"must be one of {list(allowed)}"
+
+
+def _text(message: str, nullable: bool = False):
+    return lambda v: (nullable and v is None) or (isinstance(v, str) and v != ""), message
+
+
+BOOL = (lambda v: isinstance(v, bool), "must be true or false")
+STRINGS = (is_string_list, "must be a list of strings")
+NAME_OR_NULL = _text("must be a non-empty string or null", nullable=True)
+PATH = _text("must be a path or null", nullable=True)
+DIRECTORY = _text("must be a path")
+LABEL_VARIANTS = (lambda v: isinstance(v, list) and all(s in VARIANTS for s in v),
+                  f"must be among {[s.value for s in VARIANTS]}")
+
+# Every setting as (dotted key, default, rule), in manifest order; defaults the library holds
+# are read from it. A relative PATH or DIRECTORY resolves against the config file's directory.
+SETTINGS = (
+    ("paths.corpus", None, PATH),
+    ("paths.questions", None, PATH),
+    ("paths.output_dir", "out", DIRECTORY),
+    ("paths.index", None, PATH),
+    ("paths.embedding_cache", None, PATH),
+    ("paths.traces", None, PATH),
+    ("paths.report", None, PATH),
+    ("paths.distill_input", None, PATH),
+    ("paths.distill_output", None, PATH),
+    ("chunk_limit", DEFAULT_CHUNK_LIMIT, _int(1, nullable=True)),
+    ("retriever.kind", Bm25Retriever.name, _one_of(RETRIEVER_KINDS)),
+    ("retriever.k", PipelineConfig.k, _int(1)),
+    ("retriever.k1", _default(build_index, "k1"), _number(lambda v: v > 0, "must be positive")),
+    ("retriever.b", _default(build_index, "b"), _number(lambda v: 0 <= v <= 1, "must be within [0, 1]")),
+    ("retriever.lowercase", AnalyzerConfig.lowercase, BOOL),
+    ("retriever.stopwords", sorted(AnalyzerConfig.stopwords), STRINGS),
+    ("strategy", PipelineConfig.strategy, _one_of(STRATEGIES)),
+    ("prompt_style", PipelineConfig.prompt_style, _one_of(PROMPT_STYLES)),
+    ("rerank_truncate", PipelineConfig.rerank_truncate, _int(1)),
+    ("concurrency", PipelineConfig.concurrency, _int(1)),
+    ("selection_max_tokens", PipelineConfig.selection_max_tokens, _int(1, nullable=True)),
+    ("generation_max_tokens", PipelineConfig.generation_max_tokens, _int(1, nullable=True)),
+    ("templates_dir", PipelineConfig.templates_dir, PATH),
+    *(
+        (f"{section}.{key}", default, rule)
+        for section, model in zip(
+            BACKEND_SECTIONS, (PipelineConfig.selection_model, PipelineConfig.generation_model, "embedder"))
+        for key, default, rule in (
+            ("kind", "transcript", _one_of(("transcript", "http"))),
+            ("model", model, _text("must be set")),
+            ("transcript", None, PATH),
+            ("record", False, BOOL),
+            ("endpoint", None, NAME_OR_NULL),
+            ("api_key_env", _default(HttpClient, "api_key_env"), NAME_OR_NULL),
+            ("timeout", _default(HttpClient, "timeout"), _number(lambda v: v > 0, "must be positive")),
+            ("max_attempts", _default(HttpClient, "max_attempts"), _int(1)),
+            ("backoff_base", _default(HttpClient, "backoff_base"), _number(lambda v: v >= 0, "must be non-negative")),
+        )
+    ),
+    ("metrics.hit_mode", MetricsConfig.hit_mode, _one_of(HIT_MODES)),
+    ("metrics.precision_denominator", MetricsConfig.precision_denominator, _one_of(PRECISION_DENOMINATORS)),
+    ("metrics.rank_k", MetricsConfig.rank_k, _int(1)),
+    ("metrics.pr_k", MetricsConfig.pr_k, _int(1)),
+    ("metrics.max_k", MetricsConfig.max_k, _int(1)),
+    ("distill.teacher_model", None, NAME_OR_NULL),
+    ("distill.expected_candidates", _default(run_labeling, "expected_candidates"), _int(1, nullable=True)),
+    ("distill.retries", _default(run_labeling, "retries"), _int(0)),
+    ("distill.limit", _default(run_labeling, "limit"), _int(0, nullable=True)),
+    ("distill.variants", list(_default(run_labeling, "variants")), LABEL_VARIANTS),
+)
+
+
 def default_config() -> dict:
-    """Every setting with its default. Defaults the library already holds
-    are read from it: ``PipelineConfig``, ``AnalyzerConfig``,
-    ``MetricsConfig`` and the signatures of ``build_index``, ``HttpClient``
-    and ``run_labeling``."""
-    run = PipelineConfig().to_dict()
-    k = run.pop("k")
-    models = {
-        "selection_backend": run.pop("selection_model"),
-        "generation_backend": run.pop("generation_model"),
-        "embedding_backend": "embedder",
-    }
-    return {
-        "paths": {
-            "corpus": None,
-            "questions": None,
-            "output_dir": "out",
-            "index": None,
-            "embedding_cache": None,
-            "traces": None,
-            "report": None,
-            "distill_input": None,
-            "distill_output": None,
-        },
-        "chunk_limit": DEFAULT_CHUNK_LIMIT,
-        "retriever": {
-            "kind": Bm25Retriever.name,
-            "k": k,
-            "k1": _default(build_index, "k1"),
-            "b": _default(build_index, "b"),
-            **AnalyzerConfig().to_dict(),
-        },
-        **run,
-        **{
-            section: {
-                "kind": "transcript",
-                "model": model,
-                "transcript": None,
-                "record": False,
-                "endpoint": None,
-                **{key: _default(HttpClient, key) for key in HTTP_SETTINGS},
-            }
-            for section, model in models.items()
-        },
-        "metrics": MetricsConfig().to_dict(),
-        "distill": {
-            "teacher_model": None,
-            **{
-                key: _default(run_labeling, key)
-                for key in ("expected_candidates", "retries", "limit")
-            },
-            "variants": list(_default(run_labeling, "variants")),
-        },
-    }
+    """Every setting with its default, as the tree its dotted keys describe."""
+    tree: dict = {}
+    for key, default, _ in SETTINGS:
+        _put(tree, key, copy.deepcopy(default))
+    return tree
 
 
 def merge_config(base: dict, override: dict, prefix: str = "") -> dict:
@@ -213,19 +246,13 @@ def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) ->
     cfg = merge_config(cfg, flag_overrides)
     validate_config(cfg)
     if path is not None:
-        # relative paths in a config file resolve against its directory, so
-        # a checked-in config works from any working directory
+        # with a config file, every relative path resolves against its
+        # directory, so a checked-in config works from any working directory
         base = Path(path).resolve().parent
-
-        def resolve(value):
-            if value and not Path(value).is_absolute():
-                return str(base / value)
-            return value
-
-        cfg["paths"] = {key: resolve(value) for key, value in cfg["paths"].items()}
-        for section in BACKEND_SECTIONS:
-            cfg[section]["transcript"] = resolve(cfg[section]["transcript"])
-        cfg["templates_dir"] = resolve(cfg["templates_dir"])
+        for key, _, rule in SETTINGS:
+            value = _lookup(cfg, key)
+            if rule in (PATH, DIRECTORY) and value and not Path(value).is_absolute():
+                _put(cfg, key, str(base / value))
     return cfg
 
 
@@ -241,51 +268,12 @@ def _lookup(cfg: dict, dotted: str):
 
 
 def validate_config(cfg: dict) -> None:
-    choices = [
-        ("strategy", STRATEGIES),
-        ("prompt_style", PROMPT_STYLES),
-        ("retriever.kind", RETRIEVER_KINDS),
-        ("metrics.hit_mode", HIT_MODES),
-        ("metrics.precision_denominator", PRECISION_DENOMINATORS),
-        *((f"{section}.kind", BACKEND_KINDS) for section in BACKEND_SECTIONS),
-    ]
-    for field, allowed in choices:
-        _expect(_lookup(cfg, field) in allowed, field, f"must be one of {list(allowed)}")
-    for v in cfg["distill"]["variants"]:
-        _expect(v in VARIANTS, "distill.variants", f"must be among {[s.value for s in VARIANTS]}")
-    positive = (
-        "retriever.k", "concurrency", "rerank_truncate",
-        "metrics.rank_k", "metrics.pr_k", "metrics.max_k",
-    )
-    for field in positive:
-        value = _lookup(cfg, field)
-        _expect(isinstance(value, int) and value >= 1, field, "must be a positive integer")
-    r = cfg["retriever"]
-    _expect(r["k1"] > 0, "retriever.k1", "must be positive")
-    _expect(0.0 <= r["b"] <= 1.0, "retriever.b", "must be within [0, 1]")
-    for field in ("chunk_limit", "distill.expected_candidates"):
-        value = _lookup(cfg, field)
-        ok = value is None or (isinstance(value, int) and value >= 1)
-        _expect(ok, field, "must be a positive integer or null")
+    for key, _, (ok, message) in SETTINGS:
+        _expect(ok(_lookup(cfg, key)), key, message)
     for section in BACKEND_SECTIONS:
-        b = cfg[section]
-        _expect(bool(b["model"]), f"{section}.model", "must be set")
-        _expect(
-            not (b["record"] and b["kind"] == "http"),
-            f"{section}.record",
-            "recording is a transcript option; set kind to 'transcript' and give an endpoint",
-        )
-    d = cfg["distill"]
-    _expect(
-        isinstance(d["retries"], int) and d["retries"] >= 0,
-        "distill.retries",
-        "must be a non-negative integer",
-    )
-    _expect(
-        d["limit"] is None or (isinstance(d["limit"], int) and d["limit"] >= 0),
-        "distill.limit",
-        "must be a non-negative integer or null",
-    )
+        recording_http = cfg[section]["record"] and cfg[section]["kind"] == "http"
+        message = "recording is a transcript option; set kind to 'transcript' and give an endpoint"
+        _expect(not recording_http, f"{section}.record", message)
 
 
 def _artifact_path(cfg: dict, key: str, name: str | None = None) -> Path:
@@ -375,10 +363,6 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
         generation_max_tokens=cfg["generation_max_tokens"],
         templates_dir=cfg["templates_dir"],
     )
-
-
-def metrics_config(cfg: dict) -> MetricsConfig:
-    return MetricsConfig(**cfg["metrics"])
 
 
 # --- commands ----------------------------------------------------------------
@@ -474,7 +458,7 @@ def cmd_eval(cfg: dict, args) -> int:
     traces_path = _require_path(cfg, "traces", "traces.jsonl")
     store = build_store(cfg)
     traces = read_traces(traces_path)
-    report = evaluate_traces(traces, store, metrics_config(cfg))
+    report = evaluate_traces(traces, store, MetricsConfig(**cfg["metrics"]))
     report_path = _artifact_path(cfg, "report", "report.json")
     report.save(report_path)
     plot_files = write_plot_data(report, report_path.parent / "plots")

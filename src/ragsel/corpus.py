@@ -91,6 +91,18 @@ class Passage:
     title: str | None = None
 
 
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def typed(record: dict, key: str, kind):
+    """``record[key]``, an instance of ``kind`` (a list of strings for ``list``), else KeyError or TypeError."""
+    value = record[key]
+    if not isinstance(value, kind) or (isinstance(value, list) and not is_string_list(value)):
+        raise TypeError(f"field {key!r} has the wrong type")
+    return value
+
+
 @dataclass(frozen=True)
 class QuestionRecord:
     id: str
@@ -111,11 +123,11 @@ class QuestionRecord:
     @classmethod
     def from_dict(cls, record: dict) -> "QuestionRecord":
         return cls(
-            id=record["id"],
-            question=record["question"],
-            gold_answers=tuple(record.get("answers", ())),
-            evidence=tuple(record.get("evidence", ())),
-            gold_passage_ids=tuple(record.get("gold_passage_ids", ())),
+            id=typed(record, "id", str),
+            question=typed(record, "question", str),
+            gold_answers=tuple(typed(record, "answers", list)),
+            evidence=tuple(typed(record, "evidence", list)),
+            gold_passage_ids=tuple(typed(record, "gold_passage_ids", list)),
         )
 
 
@@ -203,7 +215,7 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
 
 def _clean_str_list(record: dict, key: str, path: str | Path, lineno: int) -> tuple[str, ...]:
     value = record.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not is_string_list(value):
         raise CorpusError(f"{path}: line {lineno}: field {key!r} must be a list of strings")
     return tuple(value)
 

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import PassageStore, Passage, QuestionRecord
+from .corpus import PassageStore, Passage, QuestionRecord, typed
 from .files import iter_jsonl, write_json, write_jsonl
 from .gateway import ApiError, TranscriptMissError, TransportError, Usage, user_request
 from .retrieval import CandidateList
@@ -130,16 +130,19 @@ class QueryTrace:
 
     @classmethod
     def from_dict(cls, record: dict) -> "QueryTrace":
+        if typed(record, "schema_version", int) != TRACE_SCHEMA_VERSION:
+            raise ValueError(f"schema_version is not {TRACE_SCHEMA_VERSION}")
+        typed(record, "id", str)
         return cls(
             question=QuestionRecord.from_dict(record["question"]),
-            candidates=CandidateList.from_dict(record["candidates"]) if record.get("candidates") else None,
-            selection=SelectionOutcome.from_dict(record["selection"]) if record.get("selection") else None,
-            selected_ids=list(record.get("selected_ids", ())),
-            answer_prompt=record.get("answer_prompt", ""),
-            answer=record.get("answer", ""),
-            generation_usage=Usage(**record["generation_usage"]) if record.get("generation_usage") else None,
-            no_candidates=record.get("no_candidates", False),
-            error=record.get("error"),
+            candidates=CandidateList.from_dict(record["candidates"]) if record["candidates"] else None,
+            selection=SelectionOutcome.from_dict(record["selection"]) if record["selection"] else None,
+            selected_ids=typed(record, "selected_ids", list),
+            answer_prompt=typed(record, "answer_prompt", str),
+            answer=typed(record, "answer", str),
+            generation_usage=Usage(**record["generation_usage"]) if record["generation_usage"] else None,
+            no_candidates=typed(record, "no_candidates", bool),
+            error=typed(record, "error", (str, type(None))),
         )
 
 

@@ -184,6 +184,16 @@ def test_load_config_resolves_paths_against_config_dir(tmp_path):
     assert cfg["selection_backend"]["transcript"] == str(nested / "replay" / "chat.jsonl")
 
 
+def test_load_config_resolves_flag_paths_against_config_dir(tmp_path):
+    nested = tmp_path / "conf"
+    nested.mkdir()
+    path = nested / "cfg.json"
+    path.write_text("{}", encoding="utf-8")
+    cfg = load_config(str(path), [], {"paths": {"output_dir": "relout", "traces": "t/traces.jsonl"}})
+    assert cfg["paths"]["output_dir"] == str(nested / "relout")
+    assert cfg["paths"]["traces"] == str(nested / "t" / "traces.jsonl")
+
+
 def test_load_config_rejects_raw_credentials(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
@@ -212,6 +222,15 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"generation_backend": {"kind": "http", "record": True}}, "generation_backend.record"),
         ({"distill": {"expected_candidates": 0}}, "distill.expected_candidates"),
         ({"distill": {"expected_candidates": "20"}}, "distill.expected_candidates"),
+        # wrong-typed values, each named by its key
+        ({"retriever": {"k1": "abc"}}, "retriever.k1"),
+        ({"distill": {"variants": 5}}, "distill.variants"),
+        ({"paths": {"corpus": 5}}, "paths.corpus"),
+        ({"templates_dir": 5}, "templates_dir"),
+        ({"selection_backend": {"record": True, "endpoint": 5}}, "selection_backend.endpoint"),
+        ({"retriever": {"stopwords": "the"}}, "retriever.stopwords"),
+        ({"retriever": {"k": True}}, "retriever.k"),
+        ({"selection_backend": {"max_attempts": 0}}, "selection_backend.max_attempts"),
     ],
 )
 def test_validate_config_rejections(override, field):
@@ -219,6 +238,29 @@ def test_validate_config_rejections(override, field):
     with pytest.raises(ConfigError) as excinfo:
         validate_config(cfg)
     assert field in str(excinfo.value)
+
+
+def _leaf_keys(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_setting_has_a_check():
+    keys = list(_leaf_keys(default_config()))
+    assert len(keys) == 60
+    for key in keys:
+        cfg = merge_config(default_config(), overrides_from_sets([f'{key}={{"bad": 1}}']))
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(cfg)
+        assert str(excinfo.value).startswith(f"{key}: "), key
+
+
+def test_wrong_typed_setting_is_a_config_error(capsys):
+    assert main(["config", "--set", 'retriever.k1="abc"']) == 2
+    assert capsys.readouterr().err.startswith("config error: retriever.k1: ")
 
 
 def test_expected_candidates_null_accepts_any_count(tmp_path, capsys):
@@ -645,6 +687,31 @@ def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
     assert main(["eval", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "traces.jsonl: line 2" in err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda t: t["question"].update(evidence=[5]),
+        lambda t: t["question"].update(answers="Paris"),
+        lambda t: t["question"].pop("gold_passage_ids"),
+        lambda t: t.update(selected_ids=[1]),
+        lambda t: t.update(no_candidates="no"),
+        lambda t: t.pop("answer_prompt"),
+        lambda t: t.update(schema_version=2),
+    ],
+)
+def test_cli_eval_rejects_a_mistyped_trace_field(tmp_path, capsys, damage):
+    config_path = build_workspace(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    traces_path = tmp_path / "out" / "traces.jsonl"
+    first, second, *rest = traces_path.read_text(encoding="utf-8").splitlines(True)
+    trace = json.loads(second)
+    damage(trace)
+    traces_path.write_text("".join([first, json.dumps(trace) + "\n", *rest]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {traces_path}: line 2: not a trace: ")
 
 
 def test_cli_eval_names_the_query_whose_passage_left_the_corpus(tmp_path, capsys):
