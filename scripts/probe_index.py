@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time each step of a cold BM25 set-up on generated corpora, one process per size.
+"""Time each step of a cold BM25 set-up, and dense search, on generated corpora, one process per size.
 
     python scripts/probe_index.py --sizes 2000,10000,100000 [--seed 7]
 
@@ -9,7 +9,15 @@ sha256, JSON parsing alone (``files.iter_jsonl``), ``load_corpus``,
 ``PassageStore.digest``, ``build_index``, ``save_index``, ``load_index``,
 and BM25 ``search`` at k = 20 over the generated questions. One JSON object
 per size goes to stdout, with the index file's bytes and the peak RSS of
-the measuring process, which does not include the generator's.
+the measuring process up to here, which does not include the generator's.
+
+Then a ``DenseRetriever`` embeds the corpus in-process with the benchmark's
+scripted model (``bench/scripted.embed_text``, 256 dimensions), and the
+probe reports ``dense_search_ms_per_query`` (``retrieve`` at k = 20, query
+embedding included) and ``dense_cpu_per_wall``: the process's CPU seconds
+per wall second over the questions again, with a 5 ms sleep after each, as
+a caller waiting on a model would. A value near 1 or above means a thread
+kept a CPU busy while the caller slept.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 K = 20
@@ -30,10 +39,11 @@ K = 20
 
 def measure(inputs: Path) -> dict:
     """The timings of one cold set-up over the inputs in ``inputs``."""
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from ragsel.corpus import CorpusError, load_corpus, load_questions
     from ragsel.files import iter_jsonl
-    from ragsel.retrieval import build_index, load_index, save_index, search
+    from ragsel.retrieval import DenseRetriever, build_index, load_index, save_index, search
+    from scripted import embed_text
 
     corpus, index_path = inputs / "corpus.jsonl", inputs / "index.npz"
     record = {}
@@ -60,6 +70,18 @@ def measure(inputs: Path) -> dict:
     record["queries"] = len(questions)
     record["index_bytes"] = index_path.stat().st_size
     record["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    del index
+    backend = SimpleNamespace(model="embed", embed=lambda texts: [embed_text(t) for t in texts])
+    dense = DenseRetriever(backend, store, inputs / "embeddings.jsonl")
+    start = time.perf_counter()
+    for question in questions:
+        dense.retrieve(question, K)
+    record["dense_search_ms_per_query"] = round(1000 * (time.perf_counter() - start) / len(questions), 4)
+    cpu, wall = time.process_time(), time.perf_counter()
+    for question in questions:
+        dense.retrieve(question, K)
+        time.sleep(0.005)
+    record["dense_cpu_per_wall"] = round((time.process_time() - cpu) / (time.perf_counter() - wall), 3)
     return record
 
 

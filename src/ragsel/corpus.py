@@ -95,10 +95,11 @@ def is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def typed(record: dict, key: str, kind):
-    """``record[key]``, an instance of ``kind`` (a list of strings for ``list``), else KeyError or TypeError."""
+def typed(record: dict, key: str, kind, item=str):
+    """``record[key]`` if its type is exactly ``kind`` (so JSON ``true`` is no integer) and,
+    for a ``list``, each item's is ``item``; else KeyError or TypeError."""
     value = record[key]
-    if not isinstance(value, kind) or (isinstance(value, list) and not is_string_list(value)):
+    if type(value) is not kind or (kind is list and any(type(v) is not item for v in value)):
         raise TypeError(f"field {key!r} has the wrong type")
     return value
 

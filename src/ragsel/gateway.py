@@ -26,6 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import typed
 from .files import appending, iter_jsonl
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -73,6 +74,10 @@ class Usage:
 
     def to_dict(self) -> dict:
         return {"prompt_tokens": self.prompt_tokens, "completion_tokens": self.completion_tokens}
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "Usage":
+        return cls(typed(record, "prompt_tokens", int), typed(record, "completion_tokens", int))
 
 
 ZERO_USAGE = Usage(0, 0)

@@ -133,16 +133,17 @@ class QueryTrace:
         if typed(record, "schema_version", int) != TRACE_SCHEMA_VERSION:
             raise ValueError(f"schema_version is not {TRACE_SCHEMA_VERSION}")
         typed(record, "id", str)
+        usage = record["generation_usage"]
         return cls(
             question=QuestionRecord.from_dict(record["question"]),
-            candidates=CandidateList.from_dict(record["candidates"]) if record["candidates"] else None,
-            selection=SelectionOutcome.from_dict(record["selection"]) if record["selection"] else None,
+            candidates=None if record["candidates"] is None else CandidateList.from_dict(record["candidates"]),
+            selection=None if record["selection"] is None else SelectionOutcome.from_dict(record["selection"]),
             selected_ids=typed(record, "selected_ids", list),
             answer_prompt=typed(record, "answer_prompt", str),
             answer=typed(record, "answer", str),
-            generation_usage=Usage(**record["generation_usage"]) if record["generation_usage"] else None,
+            generation_usage=None if usage is None else Usage.from_dict(usage),
             no_candidates=typed(record, "no_candidates", bool),
-            error=typed(record, "error", (str, type(None))),
+            error=None if record["error"] is None else typed(record, "error", str),
         )
 
 

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PassageStore
+from .corpus import PassageStore, typed
 from .files import replace_atomically, write_jsonl
 from .gateway import check_embed_entry, iter_entries, text_fingerprint
 
@@ -106,11 +106,11 @@ class CandidateList:
 
     @classmethod
     def from_dict(cls, record: dict) -> "CandidateList":
-        return cls(
-            query_id=record["query_id"],
-            retriever=record["retriever"],
-            items=[Candidate(i["id"], i["score"]) for i in record["items"]],
-        )
+        """Read a ``to_dict`` record by ``corpus.typed``'s rule: each item a string ``id`` and a float ``score``."""
+        items = [Candidate(i["id"], i["score"]) for i in typed(record, "items", list, dict)]
+        if any(type(c.passage_id) is not str or type(c.score) is not float for c in items):
+            raise TypeError("field 'items' has the wrong type")
+        return cls(typed(record, "query_id", str), typed(record, "retriever", str), items)
 
 
 @dataclass(eq=False)
@@ -371,8 +371,8 @@ def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) 
 class DenseRetriever:
     """Cosine search over the cached passage vectors, kept only as one matrix in store order.
 
-    The constructor embeds every passage missing from the cache at
-    ``cache_path``; a zero vector on either side scores 0.0.
+    The constructor embeds every passage missing from the cache at ``cache_path``; a zero vector
+    on either side scores 0.0. Queries are scored on the calling thread, never on BLAS's threads.
     """
 
     name = "dense"
@@ -399,7 +399,7 @@ class DenseRetriever:
             )
         qnorm = float(np.linalg.norm(query_vec))
         sims = np.zeros(len(self.ids))
-        if qnorm != 0.0:
-            np.divide(self.matrix @ query_vec, self.norms * qnorm, out=sims, where=self.norms > 0.0)
+        if qnorm != 0.0:  # einsum sums on this thread; BLAS's threaded gemv leaves a worker spinning a CPU
+            np.divide(np.einsum("ij,j", self.matrix, query_vec), self.norms * qnorm, out=sims, where=self.norms > 0.0)
         items = _top_k(self.ids, self.id_rank, sims, np.arange(len(self.ids)), k)
         return CandidateList(query_id=query_id, retriever="dense", items=items)

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import rewrite_bracket_ids
+from .corpus import rewrite_bracket_ids, typed
 from .gateway import Usage, user_request
 
 SELECTION_MARKER = "### Final Selection:"
@@ -164,14 +164,15 @@ class SelectionOutcome:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SelectionOutcome":
+        """Read a ``to_dict`` record; every field by ``corpus.typed``'s rule."""
         return cls(
-            strategy=Strategy(record["strategy"]),
-            indices=list(record["indices"]),
-            raw_completion=record["raw_completion"],
-            reasoning=record["reasoning"],
-            usage=Usage(**record["usage"]),
-            fallback_applied=record["fallback_applied"],
-            dropped_indices=record.get("dropped_indices", 0),
+            strategy=Strategy(typed(record, "strategy", str)),
+            indices=typed(record, "indices", list, int),
+            raw_completion=typed(record, "raw_completion", str),
+            reasoning=typed(record, "reasoning", str),
+            usage=Usage.from_dict(record["usage"]),
+            fallback_applied=typed(record, "fallback_applied", bool),
+            dropped_indices=typed(record, "dropped_indices", int),
         )
 
 

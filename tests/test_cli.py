@@ -699,6 +699,17 @@ def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
         lambda t: t.update(no_candidates="no"),
         lambda t: t.pop("answer_prompt"),
         lambda t: t.update(schema_version=2),
+        # the nested parts: candidates, selection and token counts
+        lambda t: t["selection"].update(fallback_applied="no"),
+        lambda t: t["candidates"]["items"][0].update(score="x"),
+        lambda t: t["selection"].update(indices=["1"]),
+        lambda t: t["selection"].pop("dropped_indices"),
+        lambda t: t["selection"].update(dropped_indices=True),
+        lambda t: t["candidates"]["items"][1].update(id=5),
+        lambda t: t["candidates"].update(items={}),
+        lambda t: t["selection"]["usage"].update(prompt_tokens=1.5),
+        lambda t: t["generation_usage"].pop("completion_tokens"),
+        lambda t: t.update(candidates=[]),
     ],
 )
 def test_cli_eval_rejects_a_mistyped_trace_field(tmp_path, capsys, damage):

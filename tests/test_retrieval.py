@@ -649,6 +649,46 @@ def test_dense_equals_loop_reference(tmp_path):
     assert ties_at_k >= 50 and zero_vectors >= 20
 
 
+def _wide_dense(tmp_path, rows):
+    """A retriever over ``rows`` (2000 x 256: large enough that OpenBLAS threads a gemv), one query per row."""
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=f"passage {i}") for i in range(len(rows))])
+    table = {p.text: row for p, row in zip(store, rows.tolist())}
+    table.update((f"query {i}", row) for i, row in enumerate(rows.tolist()))
+    return DenseRetriever(FakeEmbedBackend("emb-1", table, rows.shape[1]), store, tmp_path / "emb.jsonl"), table
+
+
+def test_dense_queries_leave_no_cpu_busy_between_them(tmp_path):
+    """Scoring runs on the calling thread: no BLAS worker spins on while the caller waits.
+
+    With a threaded gemv, an idle worker spin-waits after each query, and this
+    process used about one CPU second per wall second. On one CPU, or with a
+    single-threaded BLAS, there is no worker and the check cannot tell.
+    """
+    retriever, _ = _wide_dense(tmp_path, np.random.default_rng(5).integers(-3, 4, (2000, 256)).astype(np.float64))
+    retriever.retrieve("query 0", k=20)
+    cpu, wall = time.process_time(), time.perf_counter()
+    for n in range(1, 31):
+        retriever.retrieve(f"query {n}", k=20)
+        time.sleep(0.005)
+    assert (time.process_time() - cpu) / (time.perf_counter() - wall) < 0.5
+
+
+def test_dense_non_integer_scores_match_an_exact_cosine(tmp_path):
+    rows = np.random.default_rng(6).standard_normal((2000, 256))
+    retriever, table = _wide_dense(tmp_path, rows)
+    vectors = rows.tolist()
+    for n in range(5):
+        query = table[f"query {n}"]
+        qnorm = math.sqrt(math.fsum(x * x for x in query))
+        exact = {
+            f"p{i}": math.fsum(x * y for x, y in zip(vec, query)) / (math.sqrt(math.fsum(x * x for x in vec)) * qnorm)
+            for i, vec in enumerate(vectors)
+        }
+        got = retriever.retrieve(f"query {n}", k=20).items
+        assert [c.passage_id for c in got] == sorted(exact, key=lambda pid: -exact[pid])[:20]
+        assert all(math.isclose(c.score, exact[c.passage_id], rel_tol=1e-12) for c in got)
+
+
 def _cache_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
