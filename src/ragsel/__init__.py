@@ -24,7 +24,6 @@ from .metrics import (
 from .pipeline import (
     PipelineConfig,
     PromptStyle,
-    QueryError,
     QueryTrace,
     run_benchmark,
     run_query,
@@ -64,7 +63,6 @@ __all__ = [
     "PassageStore",
     "PipelineConfig",
     "PromptStyle",
-    "QueryError",
     "QueryTrace",
     "QuestionRecord",
     "RetrievalError",

@@ -24,15 +24,13 @@ from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, is_string_list, load_corpu
 from .distill import VARIANTS, DistillError, run_labeling
 from .files import write_jsonl
 from .gateway import (
-    ApiError,
+    BACKEND_ERRORS,
     HttpChatBackend,
     HttpClient,
     HttpEmbedBackend,
     TranscriptChatBackend,
     TranscriptEmbedBackend,
     TranscriptError,
-    TranscriptMissError,
-    TransportError,
 )
 from .metrics import (
     HIT_MODES,
@@ -160,7 +158,6 @@ SETTINGS = (
     ("metrics.max_k", MetricsConfig.max_k, _int(1)),
     ("distill.teacher_model", None, NAME_OR_NULL),
     ("distill.expected_candidates", _default(run_labeling, "expected_candidates"), _int(1, nullable=True)),
-    ("distill.retries", _default(run_labeling, "retries"), _int(0)),
     ("distill.limit", _default(run_labeling, "limit"), _int(0, nullable=True)),
     ("distill.variants", list(_default(run_labeling, "variants")), LABEL_VARIANTS),
 )
@@ -511,7 +508,6 @@ def cmd_distill(cfg: dict, args) -> int:
         output_path,
         rejects_path,
         expected_candidates=d["expected_candidates"],
-        retries=d["retries"],
         limit=d["limit"],
         variants=tuple(Strategy(v) for v in d["variants"]),
         concurrency=cfg["concurrency"],
@@ -611,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, DistillError, MetricsError, PipelineError, RetrievalError, SelectionError,
-            TranscriptError, TranscriptMissError, TransportError, ApiError, OSError) as exc:
+            TranscriptError, OSError, *BACKEND_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,15 +22,7 @@ from typing import Iterator, Sequence
 
 from .corpus import fix_text, rewrite_bracket_ids
 from .files import appending, cut_lines, iter_jsonl
-from .gateway import (
-    ApiError,
-    TranscriptMissError,
-    TransportError,
-    Usage,
-    ZERO_USAGE,
-    merge_usage,
-    user_request,
-)
+from .gateway import BACKEND_ERRORS, Usage, ZERO_USAGE, merge_usage, user_request
 from .selection import (
     SelectionOutcome,
     Strategy,
@@ -185,7 +177,6 @@ def run_labeling(
     output_path: str | Path,
     rejects_path: str | Path,
     expected_candidates: int | None = 20,
-    retries: int = 0,
     limit: int | None = None,
     variants: Sequence[Strategy] = (),
     concurrency: int = 4,
@@ -198,9 +189,9 @@ def run_labeling(
     reason not in ``RETRIED_REASONS``, is skipped, so an interrupted run
     resumes to the files an uninterrupted one writes; a resume must use the
     same ``variants``. ``expected_candidates`` of ``None`` accepts any count.
-    ``limit`` caps how many new queries this call processes. ``retries``
-    re-asks the teacher that many extra times when a completion fails to
-    parse. ``variants`` are drawn from ``VARIANTS``.
+    ``limit`` caps how many new queries this call processes. The teacher is
+    asked once per query: chat calls are greedy, so asking again would repeat
+    the same request. ``variants`` are drawn from ``VARIANTS``.
     """
     for variant in variants:
         if variant not in VARIANTS:
@@ -209,25 +200,21 @@ def run_labeling(
     queries = load_label_queries(input_path)
 
     def ask(query: LabelQuery):
-        """Chat with parse-aware retries; returns ((prompt, outcome), reject, usage)."""
+        """One teacher call; returns ((prompt, outcome), reject, usage)."""
         num = len(query.candidate_texts)
         if expected_candidates is not None and num != expected_candidates:
             return None, ("candidate-count", f"expected {expected_candidates} candidates, got {num}"), ZERO_USAGE
         prompt = render_prompt(Strategy.REQUIREMENT_COT, query.question, query.candidate_texts, templates_dir)
-        usage = ZERO_USAGE
-        for _ in range(1 + max(0, retries)):
-            try:
-                completion, call_usage = backend.chat(user_request(model, prompt))
-            except (TransportError, ApiError, TranscriptMissError) as exc:
-                return None, ("transport", str(exc)), usage
-            usage = merge_usage(usage, call_usage)
-            # a completion that would fall back in `run` is a reject here
-            outcome = read_selection(Strategy.REQUIREMENT_COT, completion, num, call_usage)
-            if not outcome.fallback_applied:
-                return (prompt, outcome), None, usage
-            if outcome.dropped_indices:
-                return None, ("empty-after-sanitize", completion[:200]), usage
-        return None, ("no-marker", completion[:200]), usage
+        try:
+            completion, usage = backend.chat(user_request(model, prompt))
+        except BACKEND_ERRORS as exc:
+            return None, ("transport", str(exc)), ZERO_USAGE
+        # a completion that would fall back in `run` is a reject here
+        outcome = read_selection(Strategy.REQUIREMENT_COT, completion, num, usage)
+        if not outcome.fallback_applied:
+            return (prompt, outcome), None, usage
+        reason = "empty-after-sanitize" if outcome.dropped_indices else "no-marker"
+        return None, (reason, completion[:200]), usage
 
     # each outcome is written as soon as it comes back, in input order, so an
     # interrupt loses no completion already consumed

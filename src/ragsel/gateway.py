@@ -63,6 +63,10 @@ class TranscriptMissError(KeyError):
         return f"no transcript entry for request fingerprint {self.fingerprint}"
 
 
+# what a model call raises when it gets no usable answer; run and distill record it per query
+BACKEND_ERRORS = (TransportError, ApiError, TranscriptMissError)
+
+
 @dataclass(frozen=True)
 class Usage:
     prompt_tokens: int = 0
@@ -130,31 +134,6 @@ def text_fingerprint(model: str, text: str) -> str:
     return request_fingerprint(model, [{"role": "user", "content": text}])
 
 
-def _with_retries(call, max_attempts: int, backoff_base: float) -> tuple[int, bytes]:
-    """Run ``call`` with retries on transport errors and retryable statuses.
-
-    ``call`` returns ``(status, body bytes)``; a non-retryable status is
-    returned to the caller for handling.
-    """
-    last_error: Exception | None = None
-    last_status: int | None = None
-    for attempt in range(max_attempts):
-        if attempt:
-            time.sleep(backoff_base * (2 ** (attempt - 1)))
-        try:
-            status, body = call()
-        except (OSError, http.client.HTTPException) as exc:
-            last_error = exc
-            continue
-        if status in RETRYABLE_STATUS:
-            last_status = status
-            continue
-        return status, body
-    if last_status is not None:
-        raise TransportError(f"gave up after {max_attempts} attempts; last status {last_status}")
-    raise TransportError(f"gave up after {max_attempts} attempts: {last_error}")
-
-
 def _not_a_number(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
@@ -212,25 +191,37 @@ class HttpClient:
         return headers
 
     def post(self, route: str, payload: dict, read):
-        """POST ``payload`` to ``endpoint/route`` with retries; returns
-        ``read(decoded body)``. A non-200 status, a body that is not JSON, or
-        one that ``read`` cannot take apart raises ApiError."""
-
+        """POST ``payload`` to ``endpoint/route``; returns ``read(decoded body)``.
+        A connection failure or a ``RETRYABLE_STATUS`` is retried with backoff, up to
+        ``max_attempts`` attempts in all, then raises TransportError. Any other non-200
+        status, a body that is not JSON, or one that ``read`` cannot take apart raises ApiError."""
         url = f"{self.endpoint}/{route}"
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = self._headers()
-
-        def call():
-            request = urllib.request.Request(url, data, headers)
-            with self._semaphore:
-                try:
-                    with self._opener.open(request, timeout=self.timeout) as response:
-                        return response.status, response.read()
-                except urllib.error.HTTPError as exc:
-                    with exc:
-                        return exc.code, exc.read()
-
-        status, body = _with_retries(call, self.max_attempts, self.backoff_base)
+        last_error: Exception | None = None
+        last_status: int | None = None
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+            try:
+                request = urllib.request.Request(url, data, headers)  # one per attempt: a proxy handler rewrites it
+                with self._semaphore:
+                    try:
+                        with self._opener.open(request, timeout=self.timeout) as response:
+                            status, body = response.status, response.read()
+                    except urllib.error.HTTPError as exc:
+                        with exc:
+                            status, body = exc.code, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+                continue
+            if status not in RETRYABLE_STATUS:
+                break
+            last_status = status
+        else:
+            if last_status is not None:
+                raise TransportError(f"gave up after {self.max_attempts} attempts; last status {last_status}")
+            raise TransportError(f"gave up after {self.max_attempts} attempts: {last_error}")
         if status != 200:
             raise ApiError(status, body.decode("utf-8", "replace"))
         try:
@@ -268,7 +259,7 @@ class HttpChatBackend(HttpClient):
                 raise TypeError(f"message content is {type(text).__name__}, not a string")
             usage = body.get("usage")
             if usage and "prompt_tokens" in usage and "completion_tokens" in usage:
-                return text, Usage(int(usage["prompt_tokens"]), int(usage["completion_tokens"]))
+                return text, Usage.from_dict(usage)
             return text, None
 
         text, usage = self.post("chat/completions", payload, read)
@@ -285,9 +276,6 @@ class HttpEmbedBackend(HttpClient):
     def __init__(self, endpoint: str, model: str, **settings):
         super().__init__(endpoint, **settings)
         self.model = model
-
-    def describe(self) -> dict:
-        return {"kind": "http", "endpoint": self.endpoint, "model": self.model}
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
@@ -349,7 +337,8 @@ class TranscriptStore:
 
     A lookup miss raises unless a live backend was attached for record
     mode, in which case the live responses are appended to the transcript
-    and returned. A fingerprint is fetched once: lookups that miss it while
+    and returned; a response the loader would reject raises ApiError and
+    appends nothing. A fingerprint is fetched once: lookups that miss it while
     its fetch is in flight wait for that fetch's entry or exception.
     """
 
@@ -393,10 +382,14 @@ class TranscriptStore:
                 waits.append((i, self._inflight[fp]))
         if mine:
             try:
-                fresh = fetch(mine)
+                fresh = [{"fingerprint": fingerprints[i], **body} for i, body in zip(mine, fetch(mine), strict=True)]
+                for entry in fresh:
+                    try:
+                        self._check_entry(entry)
+                    except ValueError as exc:
+                        raise ApiError(200, f"malformed response body ({exc!r})") from None
                 with self._lock, appending(self.path) as append:
-                    for i, body in zip(mine, fresh, strict=True):
-                        entry = {"fingerprint": fingerprints[i], **body}
+                    for i, entry in zip(mine, fresh):
                         self._entries[fingerprints[i]] = entry
                         append(entry)
                         self._inflight.pop(fingerprints[i]).set_result(entry)
@@ -425,8 +418,8 @@ class TranscriptChatBackend(TranscriptStore):
         if not isinstance(record.get("response"), str):
             raise ValueError("chat entry without a string 'response'")
         try:
-            Usage(int(record["prompt_tokens"]), int(record["completion_tokens"]))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            Usage.from_dict(record)
+        except (KeyError, TypeError, ValueError):
             raise ValueError("chat entry token counts are not non-negative integers") from None
 
     def chat(self, request: ChatRequest) -> tuple[str, Usage]:
@@ -435,7 +428,7 @@ class TranscriptChatBackend(TranscriptStore):
             return [{"response": text, **usage.to_dict()}]
 
         (entry,) = self.lookup([request_fingerprint(request.model, request.messages)], fetch)
-        return entry["response"], Usage(int(entry["prompt_tokens"]), int(entry["completion_tokens"]))
+        return entry["response"], Usage.from_dict(entry)
 
 
 class TranscriptEmbedBackend(TranscriptStore):
@@ -444,9 +437,6 @@ class TranscriptEmbedBackend(TranscriptStore):
     def __init__(self, path: str | Path, model: str, record_from: HttpEmbedBackend | None = None):
         super().__init__(path, record_from)
         self.model = model
-
-    def describe(self) -> dict:
-        return {"kind": "transcript", "path": str(self.path), "model": self.model}
 
     _check_entry = staticmethod(check_embed_entry)
 

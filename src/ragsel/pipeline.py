@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import PassageStore, Passage, QuestionRecord, typed
 from .files import iter_jsonl, write_json, write_jsonl
-from .gateway import ApiError, TranscriptMissError, TransportError, Usage, user_request
+from .gateway import BACKEND_ERRORS, Usage, user_request
 from .retrieval import CandidateList
 from .selection import SelectionOutcome, Strategy, load_template, select
 
@@ -39,15 +39,6 @@ class PromptStyle(str, Enum):
 
 class PipelineError(RuntimeError):
     pass
-
-
-class QueryError(PipelineError):
-    """A per-query failure, tagged with the query id."""
-
-    def __init__(self, query_id: str, cause: Exception):
-        super().__init__(f"query {query_id}: {cause}")
-        self.query_id = query_id
-        self.cause = cause
 
 
 @dataclass
@@ -182,33 +173,30 @@ def run_query(
     """Run one query through retrieve -> select -> generate.
 
     Zero retrieved candidates short-circuits with an empty answer and no
-    LLM calls. Backend failures re-raise as QueryError naming the query.
+    LLM calls. Backend failures propagate.
     """
-    try:
-        candidates = retriever.retrieve(question.question, config.k, query_id=question.id)
-        if len(candidates) == 0:
-            return QueryTrace(question=question, candidates=candidates, no_candidates=True)
-        outcome, selected_ids = select_passages(question.question, candidates, store, select_backend, config)
-        passages = [store.get(pid) for pid in selected_ids]
-        prompt = render_answer_prompt(
-            config.prompt_style, question.question, passages, config.templates_dir
+    candidates = retriever.retrieve(question.question, config.k, query_id=question.id)
+    if len(candidates) == 0:
+        return QueryTrace(question=question, candidates=candidates, no_candidates=True)
+    outcome, selected_ids = select_passages(question.question, candidates, store, select_backend, config)
+    passages = [store.get(pid) for pid in selected_ids]
+    prompt = render_answer_prompt(
+        config.prompt_style, question.question, passages, config.templates_dir
+    )
+    completion, gen_usage = generate_backend.chat(
+        user_request(
+            config.generation_model, prompt, max_tokens=config.generation_max_tokens
         )
-        completion, gen_usage = generate_backend.chat(
-            user_request(
-                config.generation_model, prompt, max_tokens=config.generation_max_tokens
-            )
-        )
-        return QueryTrace(
-            question=question,
-            candidates=candidates,
-            selection=outcome,
-            selected_ids=selected_ids,
-            answer_prompt=prompt,
-            answer=extract_answer(config.prompt_style, completion),
-            generation_usage=gen_usage,
-        )
-    except (TransportError, ApiError, TranscriptMissError) as exc:
-        raise QueryError(question.id, exc) from exc
+    )
+    return QueryTrace(
+        question=question,
+        candidates=candidates,
+        selection=outcome,
+        selected_ids=selected_ids,
+        answer_prompt=prompt,
+        answer=extract_answer(config.prompt_style, completion),
+        generation_usage=gen_usage,
+    )
 
 
 def config_hash(effective_config: dict) -> str:
@@ -228,16 +216,16 @@ def run_benchmark(
     """Run every question under a bounded thread pool.
 
     Traces come back in input order regardless of concurrency; a failing
-    query yields a trace with its error recorded instead of aborting the
-    run.
+    query yields a trace with its error, tagged with the query id, recorded
+    instead of aborting the run.
     """
     started_at = datetime.now(timezone.utc).isoformat()
 
     def run_one(q: QuestionRecord) -> QueryTrace:
         try:
             return run_query(q, retriever, store, select_backend, generate_backend, config)
-        except QueryError as exc:
-            return QueryTrace(question=q, error=str(exc))
+        except BACKEND_ERRORS as exc:
+            return QueryTrace(question=q, error=f"query {q.id}: {exc}")
         except Exception as exc:  # defensive: never abort the whole run
             return QueryTrace(question=q, error=f"query {q.id}: unexpected {type(exc).__name__}: {exc}")
 

@@ -86,7 +86,6 @@ def test_default_config_is_pinned():
         "distill": {
             "teacher_model": None,
             "expected_candidates": 20,
-            "retries": 0,
             "limit": None,
             "variants": [],
         },
@@ -216,7 +215,7 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"metrics": {"hit_mode": "most"}}, "metrics.hit_mode"),
         ({"metrics": {"precision_denominator": "n"}}, "metrics.precision_denominator"),
         ({"selection_backend": {"kind": "grpc"}}, "selection_backend.kind"),
-        ({"distill": {"retries": -1}}, "distill.retries"),
+        ({"distill": {"limit": -1}}, "distill.limit"),
         ({"distill": {"variants": ["listwise_rerank"]}}, "distill.variants"),
         ({"chunk_limit": 0}, "chunk_limit"),
         ({"generation_backend": {"kind": "http", "record": True}}, "generation_backend.record"),
@@ -250,7 +249,7 @@ def _leaf_keys(tree: dict, prefix: str = ""):
 
 def test_every_setting_has_a_check():
     keys = list(_leaf_keys(default_config()))
-    assert len(keys) == 60
+    assert len(keys) == 59
     for key in keys:
         cfg = merge_config(default_config(), overrides_from_sets([f'{key}={{"bad": 1}}']))
         with pytest.raises(ConfigError) as excinfo:
@@ -952,6 +951,13 @@ def test_cli_distill_limit_flag(tmp_path, capsys):
     config_path = build_distill_workspace(tmp_path)
     assert main(["distill", "--config", str(config_path), "--limit", "3"]) == 0
     assert "labeled 3 queries" in capsys.readouterr().out
+
+
+def test_cli_distill_retries_is_an_unknown_key(tmp_path, capsys):
+    # the teacher is asked once per query: chat calls are greedy, so a re-ask repeats the request
+    config_path = build_distill_workspace(tmp_path)
+    assert main(["distill", "--config", str(config_path), "--set", "distill.retries=1"]) == 2
+    assert capsys.readouterr().err == "config error: distill.retries: unknown configuration key\n"
 
 
 def test_cli_distill_transport_exit_code(tmp_path, capsys):

@@ -290,9 +290,12 @@ def test_run_labeling_parses_each_completion_once(tmp_path, monkeypatch):
         return parse_selection(text)
 
     monkeypatch.setattr(selection, "parse_selection", counting_parse)
-    stats = run(tmp_path, ScriptedTeacher({"kw2 ": ["gibberish first try", GOOD]}), n=3, retries=1)
-    assert stats.accepted == 3
-    assert len(parsed) == 4
+    teacher = ScriptedTeacher({"kw2 ": ["gibberish first try", GOOD]})
+    stats = run(tmp_path, teacher, n=3)
+    # one teacher call per query: a completion that fails to parse is a reject, not a second ask
+    assert stats.accepted == 2 and stats.reject_reasons == {"no-marker": 1}
+    assert len(teacher.calls) == 3 and stats.teacher_usage == Usage(360, 45)
+    assert len(parsed) == 3
 
 
 def test_run_labeling_parse_reject_is_final(tmp_path):
@@ -319,14 +322,6 @@ def test_run_labeling_transport_reject_retried_on_resume(tmp_path):
     assert resumed.accepted == 1 and resumed.skipped == 9
     ids = [r["query_id"] for r in read_records(tmp_path)]
     assert sorted(ids) == sorted(f"q{i}" for i in range(1, 11))
-
-
-def test_run_labeling_retries_on_parse_failure(tmp_path):
-    teacher = ScriptedTeacher({"kw2 ": ["gibberish first try", GOOD]})
-    stats = run(tmp_path, teacher, n=3, retries=1)
-    assert stats.accepted == 3 and stats.rejected == 0
-    # q2 took two teacher calls, q1 and q3 one each
-    assert stats.teacher_usage == Usage(480, 60)
 
 
 def test_run_labeling_sanitize_reject(tmp_path):

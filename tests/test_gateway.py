@@ -132,8 +132,14 @@ def test_transcript_missing_file_errors(tmp_path):
         (lambda e: e.update(prompt_tokens="four"), "chat entry token counts are not non-negative integers"),
         (lambda e: e.update(prompt_tokens=None), "chat entry token counts are not non-negative integers"),
         (lambda e: e.update(completion_tokens=-1), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens="7"), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens=2.9), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(completion_tokens=2.0), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(completion_tokens=True), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens=1e2), "chat entry token counts are not non-negative integers"),
     ],
-    ids=["no-response", "list-response", "no-count", "word-count", "null-count", "negative-count"],
+    ids=["no-response", "list-response", "no-count", "word-count", "null-count", "negative-count",
+         "digit-string-count", "fraction-count", "whole-float-count", "bool-count", "exponent-count"],
 )
 def test_chat_transcript_rejects_malformed_entries_on_load(tmp_path, damage, fragment):
     path = tmp_path / "t.jsonl"
@@ -142,12 +148,6 @@ def test_chat_transcript_rejects_malformed_entries_on_load(tmp_path, damage, fra
     write_jsonl(path, [_entry("m", "ok", "fine"), bad])
     with pytest.raises(TranscriptError, match=f"t.jsonl: line 2: {fragment}"):
         TranscriptChatBackend(path)
-
-
-def test_chat_transcript_takes_counts_that_int_takes(tmp_path):
-    path = tmp_path / "t.jsonl"
-    write_jsonl(path, [{**_entry("m", "ping", "pong"), "prompt_tokens": "4", "completion_tokens": 2.0}])
-    assert TranscriptChatBackend(path).chat(user_request("m", "ping")) == ("pong", Usage(4, 2))
 
 
 @pytest.mark.parametrize(
@@ -366,8 +366,10 @@ def test_http_chat_4xx_not_retried(scripted_server):
 
 @pytest.mark.parametrize(
     "body",
-    [{}, {"choices": []}, {"choices": [{"message": {"content": None}}]}, [1, 2], b"<html>oops</html>"],
-    ids=["empty", "no-choice", "null-content", "list", "not-json"],
+    [{}, {"choices": []}, {"choices": [{"message": {"content": None}}]}, [1, 2], b"<html>oops</html>",
+     _chat_body("ok", {"prompt_tokens": 2.9, "completion_tokens": True}),
+     _chat_body("ok", {"prompt_tokens": "7", "completion_tokens": 1e2})],
+    ids=["empty", "no-choice", "null-content", "list", "not-json", "fraction-bool-usage", "string-float-usage"],
 )
 def test_http_chat_malformed_200_is_api_error(scripted_server, body):
     with scripted_server([(200, body)]) as (endpoint, log):
@@ -388,6 +390,19 @@ def test_http_embed_malformed_200_is_api_error(scripted_server, body):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
         with pytest.raises(ApiError, match="malformed response body"):
             backend.embed(["a", "b"])
+
+
+@pytest.mark.parametrize("vector", [[True, 0.5], "ab", [[1.0], [2.0]]], ids=["bool", "string", "nested"])
+def test_record_mode_appends_no_entry_its_loader_rejects(scripted_server, tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    body = {"data": [{"embedding": [1.0, 0.5]}, {"embedding": vector}]}
+    with scripted_server([(200, body)]) as (endpoint, _):
+        live = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        backend = TranscriptEmbedBackend(path, model="emb", record_from=live)
+        with pytest.raises(ApiError, match="malformed response body") as excinfo:
+            backend.embed(["a", "b"])
+    assert excinfo.value.status == 200
+    assert path.read_bytes() == b""  # so the transcript still loads
 
 
 def test_http_chat_estimates_when_usage_missing(scripted_server, tmp_path):

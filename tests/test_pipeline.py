@@ -16,7 +16,6 @@ from ragsel.gateway import (
 from ragsel.pipeline import (
     PipelineConfig,
     PromptStyle,
-    QueryError,
     QueryTrace,
     config_hash,
     extract_answer,
@@ -194,21 +193,24 @@ def test_run_query_no_candidates_short_circuits():
 
 
 def test_run_query_wraps_backend_failures():
+    # run_query lets the backend's error through; run_benchmark's trace tags it with the query id
     store, retriever = make_retriever(cot_corpus())
     sel = StubChat(error=TransportError("socket reset"))
     gen = StubChat(text="unused")
-    with pytest.raises(QueryError) as excinfo:
+    with pytest.raises(TransportError, match="^socket reset$"):
         run_query(question("q7", "apple"), retriever, store, sel, gen, PipelineConfig(k=3))
-    assert "query q7" in str(excinfo.value)
-    assert "socket reset" in str(excinfo.value)
+    (trace,), _ = run_benchmark([question("q7", "apple")], retriever, store, sel, gen, PipelineConfig(k=3))
+    assert trace.error == "query q7: socket reset"
 
 
 def test_run_query_generation_failure_also_wrapped():
     store, retriever = make_retriever(cot_corpus())
     sel = StubChat(text="### Final Selection: [1]")
     gen = StubChat(error=TransportError("gen down"))
-    with pytest.raises(QueryError):
+    with pytest.raises(TransportError, match="^gen down$"):
         run_query(question("q8", "apple"), retriever, store, sel, gen, PipelineConfig(k=3))
+    (trace,), _ = run_benchmark([question("q8", "apple")], retriever, store, sel, gen, PipelineConfig(k=3))
+    assert trace.error == "query q8: gen down"
 
 
 def test_run_query_fallback_recorded():
