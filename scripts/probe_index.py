@@ -10,6 +10,9 @@ sha256, JSON parsing alone (``files.iter_jsonl``), ``load_corpus``,
 and BM25 ``search`` at k = 20 over the generated questions. One JSON object
 per size goes to stdout, with the index file's bytes and the peak RSS of
 the measuring process up to here, which does not include the generator's.
+Then ``load_corpus_dirty_s`` times ``load_corpus`` over a copy of the corpus
+in which each text starts with a tab and holds a doubled space, so every
+text takes the cleaning path that splits and joins it again.
 
 Then a ``DenseRetriever`` embeds the corpus in-process with the benchmark's
 scripted model (``bench/scripted.embed_text``, 256 dimensions), and the
@@ -71,6 +74,7 @@ def measure(inputs: Path) -> dict:
     record["index_bytes"] = index_path.stat().st_size
     record["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     del index
+    timed("load_corpus_dirty_s", lambda: load_corpus(inputs / "corpus_dirty.jsonl"))
     backend = SimpleNamespace(model="embed", embed=lambda texts: [embed_text(t) for t in texts])
     dense = DenseRetriever(backend, store, inputs / "embeddings.jsonl")
     start = time.perf_counter()
@@ -85,11 +89,24 @@ def measure(inputs: Path) -> dict:
     return record
 
 
+def write_dirty_copy(inputs: Path) -> None:
+    """``corpus_dirty.jsonl``: the corpus with a tab before each text and its first space doubled."""
+    with (
+        open(inputs / "corpus.jsonl", encoding="utf-8") as src,
+        open(inputs / "corpus_dirty.jsonl", "w", encoding="utf-8") as out,
+    ):
+        for line in src:
+            row = json.loads(line)
+            row["text"] = "\t" + row["text"].replace(" ", "  ", 1)
+            out.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
 def probe(passages: int, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         sizes = f"{passages},{min(600, passages // 4)},1,10"
         gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--out", tmp, "--seed", str(seed), "--sizes", sizes]
         subprocess.run(gen, check=True)
+        write_dirty_copy(Path(tmp))
         child = [sys.executable, str(Path(__file__).resolve()), "--measure", tmp]
         measured = json.loads(subprocess.run(child, check=True, capture_output=True, text=True).stdout)
     return {"passages": passages, "seed": seed, **measured}

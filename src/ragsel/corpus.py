@@ -39,6 +39,8 @@ def fix_text(raw: str) -> str:
     text = unicodedata.normalize("NFC", raw)
     if not text.isprintable():  # every code point _CONTROL_RE matches is non-printable
         text = _CONTROL_RE.sub(" ", text)
+    elif "  " not in text and text[:1] != " " and text[-1:] != " ":
+        return text  # U+0020 is the only whitespace that is printable: already clean
     # split() with no separator splits on every Unicode whitespace run and drops the ends
     return " ".join(text.split())
 
@@ -197,8 +199,9 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
             if not isinstance(title, str):
                 raise CorpusError(f"{path}: line {lineno}: field 'title' must be a string")
             title = fix_text(title) or None
-        # fix_text leaves one space between words: counting spaces spares a second split
-        if chunk_limit is None or text.count(" ") < chunk_limit:
+        # fix_text leaves one space between words, so n characters hold at most (n - 1) / 2
+        # spaces: counting them, and only on long text, spares a second split
+        if chunk_limit is None or len(text) < 2 * chunk_limit or text.count(" ") < chunk_limit:
             pieces = [text]
         else:
             pieces = chunk_text(text, chunk_limit)

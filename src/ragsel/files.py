@@ -33,7 +33,7 @@ def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
 
 
 def _line(item: dict | str) -> str:
-    return (item if isinstance(item, str) else json.dumps(item, ensure_ascii=False)) + "\n"
+    return (item if isinstance(item, str) else json.dumps(item, ensure_ascii=False, allow_nan=False)) + "\n"
 
 
 @contextmanager
@@ -60,7 +60,7 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     with replace_atomically(path) as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, allow_nan=False) + "\n")
 
 
 @contextmanager

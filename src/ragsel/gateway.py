@@ -291,6 +291,8 @@ class HttpEmbedBackend(HttpClient):
                     raise ValueError(f"'index' fields are not 0..{len(texts) - 1} once each")
                 data = [rows[i] for i in range(len(texts))]
             vectors = [row["embedding"] for row in data]
+            if not all(map(_is_number_list, vectors)):
+                raise TypeError("an 'embedding' is not a non-empty list of numbers")
             dims = {len(v) for v in vectors}
             if len(dims) > 1:
                 raise ValueError(f"embeddings of inconsistent dimensions {sorted(dims)}")
@@ -314,13 +316,17 @@ def iter_entries(path: str | Path, check_entry, error: type[Exception]) -> Itera
         yield record, checked
 
 
+def _is_number_list(value) -> bool:
+    # JSON numbers load as int or float; a bool is neither here. The set of
+    # types is built in C: a warm embedding cache checks every float it reads
+    return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
+
+
 def check_embed_entry(record: dict) -> np.ndarray:
     """The entry's 'vector' as a float64 array; ValueError unless it is a
     non-empty list of finite numbers."""
     vector = record.get("vector")
-    # JSON numbers load as int or float; a bool is neither here. The set of
-    # types is built in C: a warm embedding cache checks every float it reads
-    if not (isinstance(vector, list) and vector and set(map(type, vector)) <= {int, float}):
+    if not _is_number_list(vector):
         raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
     # as in an HTTP reply, NaN, Infinity and integers beyond float range are not numbers here
     try:

@@ -40,6 +40,16 @@ def test_fix_text_total_on_plain_strings():
     assert fix_text(" \n\t ") == ""
 
 
+def test_space_is_the_only_printable_whitespace():
+    # fix_text returns printable text as it is unless it holds a U+0020 run or end
+    assert [c for c in map(chr, range(0x110000)) if c.isspace() and c.isprintable()] == [" "]
+
+
+@pytest.mark.parametrize("clean", ["two words", "w1 w2. w3 (4) [x]", "世界 你好 café"])
+def test_fix_text_returns_clean_text_itself(clean):
+    assert fix_text(clean) is clean
+
+
 def test_fix_text_idempotent_on_random_unicode():
     rng = random.Random(7)
     pool = string.printable + "́é世界\x00\x7f "
@@ -84,21 +94,28 @@ def test_fix_text_equals_the_regex_reference(monkeypatch):
     bracket_re = _CountingPattern(corpus._BRACKET_NUM_RE)
     monkeypatch.setattr(corpus, "_CONTROL_RE", control_re)
     monkeypatch.setattr(corpus, "_BRACKET_NUM_RE", bracket_re)
-    skipped = triggered = 0
+    # words joined by single spaces: printable ones are returned without a split
+    word_pool = look_alikes + marks + "[]()0123456789aeéAZ世"
+    skipped = triggered = clean = 0
     rng = random.Random(2507)
-    for _ in range(100_000):
-        raw = "".join(rng.choices(pool, k=rng.randrange(0, 24)))
+    for n in range(100_000):
+        if n % 10:
+            raw = "".join(rng.choices(pool, k=rng.randrange(0, 24)))
+        else:
+            raw = " ".join("".join(rng.choices(word_pool, k=rng.randrange(1, 5))) for _ in range(rng.randrange(1, 6)))
         calls = control_re.calls, bracket_re.calls
         assert fix_text(raw) == _reference_fix_text(raw), repr(raw)
         assert rewrite_bracket_ids(raw) == _REF_BRACKET_NUM_RE.sub(r"(\1)", raw), repr(raw)
-        printable = unicodedata.normalize("NFC", raw).isprintable()
+        nfc = unicodedata.normalize("NFC", raw)
+        printable = nfc.isprintable()
+        clean += printable and "  " not in nfc and nfc[:1] != " " != nfc[-1:]
         if printable:
             assert control_re.calls == calls[0], repr(raw)
         if "[" not in raw:
             assert bracket_re.calls == calls[1], repr(raw)
         skipped += printable and "[" not in raw
         triggered += bool(_REF_CONTROL_RE.search(raw) or _REF_BRACKET_NUM_RE.search(raw))
-    assert skipped >= 1000 and triggered >= 1000
+    assert skipped >= 1000 and triggered >= 1000 and clean >= 1000
 
 
 def test_rewrite_bracket_ids_examples():
@@ -208,6 +225,20 @@ def test_load_corpus_chunks_at_the_limit_as_chunk_text_does(tmp_path, extra, bou
     assert [p.text for p in load_corpus(path, chunk_limit=limit)] == want
     assert len(want) == (2 if extra and boundary else 1)
     assert word_count(" ".join(want)) == limit + extra
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_load_corpus_counts_spaces_only_where_they_can_reach_the_limit(tmp_path, extra):
+    # one-character words: limit of them make 2 * limit - 1 characters, too short to
+    # hold limit spaces; one more word must chunk as chunk_text does
+    limit = 12
+    text = " ".join("." if j % 5 == 4 else "abcdefghijklm"[j] for j in range(limit + extra))
+    assert len(text) == 2 * (limit + extra) - 1
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"id": "x", "doc_id": "d", "text": text}])
+    pieces = [p.text for p in load_corpus(path, chunk_limit=limit)]
+    assert pieces == chunk_text(text, limit)
+    assert len(pieces) == 1 + extra
 
 
 def test_chunking_disabled_with_none(tmp_path):

@@ -36,6 +36,29 @@ def test_failed_write_leaves_the_old_file(tmp_path, write):
     assert os.listdir(tmp_path) == ["artifact"]
 
 
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: write_jsonl(path, [{"n": 2}, {"x": float("nan")}]), lambda path: write_json(path, [float("nan")])],
+    ids=["jsonl", "json"],
+)
+def test_writers_refuse_nan_and_leave_the_old_file(tmp_path, write):
+    path = tmp_path / "artifact"
+    write_jsonl(path, [{"n": 1}])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write(path)
+    assert path.read_bytes() == b'{"n": 1}\n'
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_appending_refuses_nan_and_appends_nothing(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"n": 0}\n')
+    with appending(path) as append:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            append({"n": 1}, {"x": float("nan")})
+    assert path.read_bytes() == b'{"n": 0}\n'
+
+
 def test_replaced_file_gets_the_mode_open_gives(tmp_path):
     with open(tmp_path / "plain.json", "w", encoding="utf-8"):
         pass

@@ -392,6 +392,18 @@ def test_http_embed_malformed_200_is_api_error(scripted_server, body):
             backend.embed(["a", "b"])
 
 
+@pytest.mark.parametrize("vector", [[True, 0.5], "ab", [[1.0]], []], ids=["bool", "string", "nested", "empty"])
+def test_http_embed_row_that_is_not_a_list_of_numbers_is_api_error(scripted_server, vector):
+    # the first row is as long as the second, so the dimension check cannot tell
+    body = {"data": [{"embedding": [0.5] * len(vector)}, {"embedding": vector}]}
+    with scripted_server([(200, body)]) as (endpoint, log):
+        backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        with pytest.raises(ApiError, match="malformed response body .*not a non-empty list of numbers") as err:
+            backend.embed(["a", "b"])
+    assert err.value.status == 200
+    assert len(log) == 1
+
+
 @pytest.mark.parametrize("vector", [[True, 0.5], "ab", [[1.0], [2.0]]], ids=["bool", "string", "nested"])
 def test_record_mode_appends_no_entry_its_loader_rejects(scripted_server, tmp_path, vector):
     path = tmp_path / "emb.jsonl"
