@@ -3,8 +3,10 @@
 
 The fixture set is a fully deterministic 25-question benchmark plus a
 10-query labeling corpus, with replay transcripts for every chat call the
-pipeline will make. Prompts and fingerprints are produced by the package's
-own rendering code, so replay entries always match runtime requests.
+pipeline will make. The transcripts are recorded, not restated: the
+benchmark and the labeling job run one query at a time in record mode
+against a scripted model, so each transcript holds exactly the requests the
+package makes, in the order it makes them.
 
 Fixture layout (question i, zero-padded ii, keyword kw{ii}):
   - six passages p{ii}_1..p{ii}_6, all exactly 12 words, with the keyword
@@ -22,18 +24,18 @@ Run from anywhere: paths are derived from this file's location.
 from __future__ import annotations
 
 import json
-import shutil
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 from ragsel.cli import main as cli_main
 from ragsel.corpus import load_corpus, load_questions
-from ragsel.files import write_jsonl
-from ragsel.gateway import Usage, request_fingerprint, user_request
-from ragsel.pipeline import PromptStyle, render_answer_prompt
+from ragsel.distill import run_labeling
+from ragsel.files import write_json
+from ragsel.gateway import TranscriptChatBackend, Usage
+from ragsel.pipeline import PipelineConfig, run_benchmark
 from ragsel.retrieval import AnalyzerConfig, Bm25Retriever, build_index
-from ragsel.selection import Strategy, render_prompt, select
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -43,6 +45,7 @@ PASSAGES_PER_QUESTION = 6
 PASSAGE_WORDS = 12
 N_DISTILL = 10
 DISTILL_CANDIDATES = 6
+TEACHER = "teacher"
 
 # class cycle keyed by i mod 5
 CLASS_OF = {1: "A", 2: "B", 3: "C", 4: "D", 0: "E"}
@@ -98,15 +101,24 @@ def generation_completion(cls: str, ii: str) -> str:
     }[cls]
 
 
-class _OneShot:
-    """Chat stub returning a single scripted completion."""
+class ScriptedModel:
+    """The selector's, generator's and teacher's scripted replies. Record mode
+    asks it for each request, which names its question by the ``kw<ii>`` in
+    the prompt."""
 
-    def __init__(self, completion: str, usage: Usage):
-        self.completion = completion
-        self.usage = usage
+    def describe(self) -> dict:
+        return {"kind": "scripted"}
 
     def chat(self, request):
-        return self.completion, self.usage
+        ii = re.search(r"kw(\d\d)", request.messages[0]["content"]).group(1)
+        cls = CLASS_OF[int(ii) % 5]
+        if request.model == PipelineConfig.selection_model:
+            return selection_completion(cls, ii), Usage(SELECTION_PROMPT_TOKENS, SELECTION_COMPLETION_TOKENS[cls])
+        if request.model == PipelineConfig.generation_model:
+            return generation_completion(cls, ii), GENERATION_USAGE
+        if request.model == TEACHER:
+            return teacher_completion(ii), TEACHER_USAGE
+        raise ValueError(f"no scripted replies for model {request.model!r}")
 
 
 def write_benchmark_fixtures() -> None:
@@ -138,66 +150,21 @@ def write_benchmark_fixtures() -> None:
 
     store = load_corpus(corpus_path)
     retriever = Bm25Retriever(build_index(store, AnalyzerConfig()))
-    questions = load_questions(questions_path)
-    entries = []
-    for i, question in enumerate(questions, start=1):
-        ii = f"{i:02d}"
-        cls = CLASS_OF[i % 5]
-        candidates = retriever.retrieve(question.question, 20, query_id=question.id)
-        expected = [f"p{ii}_{j}" for j in range(1, PASSAGES_PER_QUESTION + 1)]
-        assert candidates.ids == expected, (
-            f"candidate order drifted for {question.id}: {candidates.ids}"
+    transcript_path.unlink(missing_ok=True)
+    backend = TranscriptChatBackend(transcript_path, record_from=ScriptedModel())
+    # one query at a time, so entries are appended in question order
+    traces, _ = run_benchmark(
+        load_questions(questions_path), retriever, store, backend, backend, PipelineConfig(concurrency=1)
+    )
+    for i, trace in enumerate(traces, start=1):
+        assert trace.error is None, trace.error
+        expected = [f"p{i:02d}_{j}" for j in range(1, PASSAGES_PER_QUESTION + 1)]
+        assert trace.candidates.ids == expected, (
+            f"candidate order drifted for {trace.question.id}: {trace.candidates.ids}"
         )
-        texts = [store.get(pid).text for pid in candidates.ids]
-        completion = selection_completion(cls, ii)
-        usage = Usage(SELECTION_PROMPT_TOKENS, SELECTION_COMPLETION_TOKENS[cls])
-        prompt = render_prompt(Strategy.REQUIREMENT_COT, question.question, texts)
-        request = user_request("selector", prompt)
-        entries.append(
-            {
-                "fingerprint": request_fingerprint(request.model, request.messages),
-                "response": completion,
-                "prompt_tokens": usage.prompt_tokens,
-                "completion_tokens": usage.completion_tokens,
-            },
-        )
-        # run the real selection logic so fallback and sanitization behave
-        # exactly as they will during replay
-        outcome = select(
-            question.question,
-            texts,
-            Strategy.REQUIREMENT_COT,
-            _OneShot(completion, usage),
-            model="selector",
-        )
-        selected = [candidates.ids[idx - 1] for idx in outcome.indices]
-        answer_prompt = render_answer_prompt(
-            PromptStyle.GENERAL, question.question, [store.get(pid) for pid in selected]
-        )
-        gen_request = user_request("generator", answer_prompt, max_tokens=256)
-        entries.append(
-            {
-                "fingerprint": request_fingerprint(gen_request.model, gen_request.messages),
-                "response": generation_completion(cls, ii),
-                "prompt_tokens": GENERATION_USAGE.prompt_tokens,
-                "completion_tokens": GENERATION_USAGE.completion_tokens,
-            },
-        )
-    write_jsonl(transcript_path, entries)
     print(f"wrote {corpus_path}")
     print(f"wrote {questions_path}")
     print(f"wrote {transcript_path}")
-
-
-def distill_question(ii: str) -> str:
-    return f"kw{ii} training inquiry"
-
-
-def distill_candidate_texts(ii: str) -> list[str]:
-    return [
-        f"kw{ii} training passage {j} with detail tr{ii}x{j}"
-        for j in range(1, DISTILL_CANDIDATES + 1)
-    ]
 
 
 def teacher_completion(ii: str) -> str:
@@ -216,34 +183,31 @@ def write_distill_fixtures() -> None:
             ii = f"{i:02d}"
             row = {
                 "id": f"dq{ii}",
-                "question": distill_question(ii),
+                "question": f"kw{ii} training inquiry",
                 "candidates": [
                     {
                         "id": f"dq{ii}_c{j}",
                         "doc_id": f"tdoc{ii}",
                         "title": f"Training {ii}",
-                        "text": text,
+                        "text": f"kw{ii} training passage {j} with detail tr{ii}x{j}",
                     }
-                    for j, text in enumerate(distill_candidate_texts(ii), start=1)
+                    for j in range(1, DISTILL_CANDIDATES + 1)
                 ],
             }
             fh.write(json.dumps(row) + "\n")
-    entries = []
-    for i in range(1, N_DISTILL + 1):
-        ii = f"{i:02d}"
-        prompt = render_prompt(
-            Strategy.REQUIREMENT_COT, distill_question(ii), distill_candidate_texts(ii)
+    transcript_path.unlink(missing_ok=True)
+    backend = TranscriptChatBackend(transcript_path, record_from=ScriptedModel())
+    with tempfile.TemporaryDirectory(prefix="ragsel-fixture-labels-") as tmp:
+        stats = run_labeling(
+            input_path,
+            backend,
+            TEACHER,
+            Path(tmp) / "distill.jsonl",
+            Path(tmp) / "rejects.jsonl",
+            expected_candidates=DISTILL_CANDIDATES,
+            concurrency=1,
         )
-        request = user_request("teacher", prompt)
-        entries.append(
-            {
-                "fingerprint": request_fingerprint(request.model, request.messages),
-                "response": teacher_completion(ii),
-                "prompt_tokens": TEACHER_USAGE.prompt_tokens,
-                "completion_tokens": TEACHER_USAGE.completion_tokens,
-            },
-        )
-    write_jsonl(transcript_path, entries)
+    assert (stats.accepted, stats.rejected) == (N_DISTILL, 0), stats
     print(f"wrote {input_path}")
     print(f"wrote {transcript_path}")
 
@@ -262,36 +226,23 @@ def write_config() -> None:
         "retriever": {"kind": "bm25", "k": 20},
         "selection_backend": {"kind": "transcript", "transcript": "chat_transcript.jsonl"},
         "generation_backend": {"kind": "transcript", "transcript": "chat_transcript.jsonl"},
-        "distill": {"teacher_model": "teacher", "expected_candidates": DISTILL_CANDIDATES},
+        "distill": {"teacher_model": TEACHER, "expected_candidates": DISTILL_CANDIDATES},
     }
     path = FIXTURES / "config.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2)
-        fh.write("\n")
+    write_json(path, config)
     print(f"wrote {path}")
 
 
 def self_check() -> None:
     """Replay the whole benchmark once and require a clean run."""
-    tmp = Path(tempfile.mkdtemp(prefix="ragsel-fixture-check-"))
-    try:
-        code = cli_main(
-            [
-                "run",
-                "--config",
-                str(FIXTURES / "config.json"),
-                "--output-dir",
-                str(tmp),
-            ]
-        )
+    with tempfile.TemporaryDirectory(prefix="ragsel-fixture-check-") as tmp:
+        code = cli_main(["run", "--config", str(FIXTURES / "config.json"), "--output-dir", tmp])
         assert code == 0, f"fixture self-check run exited {code}"
-        manifest = json.loads((tmp / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["failure_count"] == 0
-        assert manifest["query_count"] == N_QUESTIONS
-        assert manifest["fallback_count"] == N_QUESTIONS // 5
-        print(f"self-check passed: {N_QUESTIONS} queries replayed cleanly")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failure_count"] == 0
+    assert manifest["query_count"] == N_QUESTIONS
+    assert manifest["fallback_count"] == N_QUESTIONS // 5
+    print(f"self-check passed: {N_QUESTIONS} queries replayed cleanly")
 
 
 def main() -> int:

@@ -140,10 +140,9 @@ SETTINGS = (
         for section, model in zip(
             BACKEND_SECTIONS, (PipelineConfig.selection_model, PipelineConfig.generation_model, "embedder"))
         for key, default, rule in (
-            ("kind", "transcript", _one_of(("transcript", "http"))),
+            ("kind", "transcript", _one_of(("transcript", "record", "http"))),
             ("model", model, _text("must be set")),
             ("transcript", None, PATH),
-            ("record", False, BOOL),
             ("endpoint", None, NAME_OR_NULL),
             ("api_key_env", _default(HttpClient, "api_key_env"), NAME_OR_NULL),
             ("timeout", _default(HttpClient, "timeout"), _number(lambda v: v > 0, "must be positive")),
@@ -267,10 +266,6 @@ def _lookup(cfg: dict, dotted: str):
 def validate_config(cfg: dict) -> None:
     for key, _, (ok, message) in SETTINGS:
         _expect(ok(_lookup(cfg, key)), key, message)
-    for section in BACKEND_SECTIONS:
-        recording_http = cfg[section]["record"] and cfg[section]["kind"] == "http"
-        message = "recording is a transcript option; set kind to 'transcript' and give an endpoint"
-        _expect(not recording_http, f"{section}.record", message)
 
 
 def _artifact_path(cfg: dict, key: str, name: str | None = None) -> Path:
@@ -293,7 +288,7 @@ def build_backend(cfg: dict, section: str):
     b = cfg[section]
     embed = section == "embedding_backend"
     live = None
-    if b["kind"] == "http" or b["record"]:
+    if b["kind"] != "transcript":
         _expect(bool(b["endpoint"]), f"{section}.endpoint", "required for http or record mode")
         http_url = b["endpoint"].lower().startswith(("http://", "https://"))
         _expect(http_url, f"{section}.endpoint", "must be an http(s) URL")
@@ -304,7 +299,7 @@ def build_backend(cfg: dict, section: str):
             live = HttpChatBackend(b["endpoint"], **settings)
         if b["kind"] == "http":
             return live
-    _expect(bool(b["transcript"]), f"{section}.transcript", "required for transcript mode")
+    _expect(bool(b["transcript"]), f"{section}.transcript", "required for transcript or record mode")
     if embed:
         return TranscriptEmbedBackend(b["transcript"], b["model"], record_from=live)
     return TranscriptChatBackend(b["transcript"], record_from=live)

@@ -11,6 +11,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
+BLOCK = 1 << 16  # a log's last newline is looked for backwards, this many bytes at a time
+
 
 def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line; a line that is not
@@ -73,8 +75,11 @@ def appending(path: str | Path) -> Iterator:
         end = fh.tell()
         fh.seek(max(end - 1, 0))
         if fh.read(1) not in (b"", b"\n"):
-            fh.seek(0)
-            start = fh.read().rfind(b"\n") + 1
+            for block in range((end - 1) // BLOCK * BLOCK, -1, -BLOCK):
+                fh.seek(block)
+                if (newline := fh.read(BLOCK).rfind(b"\n")) >= 0:
+                    break
+            start = block + newline + 1
             fh.seek(start)
             try:
                 whole = isinstance(json.loads(fh.read()), dict)

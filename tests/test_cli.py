@@ -69,7 +69,6 @@ def test_default_config_is_pinned():
                 "kind": "transcript",
                 "model": model,
                 "transcript": None,
-                "record": False,
                 "endpoint": None,
                 "api_key_env": None,
                 "timeout": 60.0,
@@ -218,7 +217,7 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"distill": {"limit": -1}}, "distill.limit"),
         ({"distill": {"variants": ["listwise_rerank"]}}, "distill.variants"),
         ({"chunk_limit": 0}, "chunk_limit"),
-        ({"generation_backend": {"kind": "http", "record": True}}, "generation_backend.record"),
+        ({"generation_backend": {"kind": "record", "record": True}}, "generation_backend.record"),
         ({"distill": {"expected_candidates": 0}}, "distill.expected_candidates"),
         ({"distill": {"expected_candidates": "20"}}, "distill.expected_candidates"),
         # wrong-typed values, each named by its key
@@ -226,17 +225,17 @@ def test_load_config_rejects_raw_credentials(tmp_path):
         ({"distill": {"variants": 5}}, "distill.variants"),
         ({"paths": {"corpus": 5}}, "paths.corpus"),
         ({"templates_dir": 5}, "templates_dir"),
-        ({"selection_backend": {"record": True, "endpoint": 5}}, "selection_backend.endpoint"),
+        ({"selection_backend": {"kind": "record", "endpoint": 5}}, "selection_backend.endpoint"),
         ({"retriever": {"stopwords": "the"}}, "retriever.stopwords"),
         ({"retriever": {"k": True}}, "retriever.k"),
         ({"selection_backend": {"max_attempts": 0}}, "selection_backend.max_attempts"),
     ],
 )
 def test_validate_config_rejections(override, field):
-    cfg = merge_config(default_config(), override)
+    # as load_config does: an unknown key fails the merge, a bad value the validation
     with pytest.raises(ConfigError) as excinfo:
-        validate_config(cfg)
-    assert field in str(excinfo.value)
+        validate_config(merge_config(default_config(), override))
+    assert str(excinfo.value).startswith(f"{field}: ")
 
 
 def _leaf_keys(tree: dict, prefix: str = ""):
@@ -249,7 +248,7 @@ def _leaf_keys(tree: dict, prefix: str = ""):
 
 def test_every_setting_has_a_check():
     keys = list(_leaf_keys(default_config()))
-    assert len(keys) == 59
+    assert len(keys) == 56
     for key in keys:
         cfg = merge_config(default_config(), overrides_from_sets([f'{key}={{"bad": 1}}']))
         with pytest.raises(ConfigError) as excinfo:
@@ -289,16 +288,23 @@ def test_backend_requirements_checked_at_build():
     assert "generation_backend.transcript" in str(excinfo.value)
 
 
+def test_record_backend_needs_an_endpoint_and_a_transcript(tmp_path):
+    transcript = tmp_path / "rec.jsonl"
+    cfg = merge_config(default_config(), {"generation_backend": {"kind": "record", "transcript": str(transcript)}})
+    with pytest.raises(ConfigError, match=r"^generation_backend\.endpoint: required for http or record mode$"):
+        build_backend(cfg, "generation_backend")
+    assert not transcript.exists()
+    cfg = merge_config(cfg, {"generation_backend": {"transcript": None, "endpoint": "http://127.0.0.1:1/v1"}})
+    with pytest.raises(ConfigError, match=r"^generation_backend\.transcript: required for transcript or record mode$"):
+        build_backend(cfg, "generation_backend")
+
+
 @pytest.mark.parametrize("section", ["selection_backend", "generation_backend", "embedding_backend"])
 @pytest.mark.parametrize("mode", ["http", "record"])
 def test_backend_http_settings_reach_client(tmp_path, section, mode):
     settings = {"timeout": 5.0, "max_attempts": 7, "backoff_base": 0.1, "api_key_env": "SOME_KEY_VAR"}
-    override = {"endpoint": "http://127.0.0.1:1/v1/", **settings}
-    if mode == "record":
-        override.update(kind="transcript", record=True, transcript=str(tmp_path / "rec.jsonl"))
-    else:
-        override.update(kind="http")
-    cfg = merge_config(default_config(), {section: override})
+    override = {"kind": mode, "endpoint": "http://127.0.0.1:1/v1/", "transcript": str(tmp_path / "rec.jsonl")}
+    cfg = merge_config(default_config(), {section: {**override, **settings}})
     validate_config(cfg)
     backend = build_backend(cfg, section)
     client = backend.record_from if mode == "record" else backend
@@ -803,6 +809,9 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert err.startswith("config error:") and "strategy" in err
     assert main(["run", "--config", str(config_path), "--set", "retriever.zzz=1"]) == 2
     assert "unknown configuration key" in capsys.readouterr().err
+    # recording is a backend kind, not a switch beside it
+    assert main(["run", "--config", str(config_path), "--set", "selection_backend.record=true"]) == 2
+    assert capsys.readouterr().err == "config error: selection_backend.record: unknown configuration key\n"
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "no such file" in capsys.readouterr().err
 

@@ -2,11 +2,12 @@
 
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ragsel.files import appending, cut_lines, iter_jsonl, replace_atomically, write_json, write_jsonl
+from ragsel.files import BLOCK, appending, cut_lines, iter_jsonl, replace_atomically, write_json, write_jsonl
 
 
 def _failing_records():
@@ -97,6 +98,36 @@ def test_appending_mends_a_last_line_without_newline(tmp_path, caplog, before, a
         assert path.read_bytes() == after
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == ([f"{path}: cut a torn last line of {cut} bytes"] if cut else [])
+
+
+LONG_LINE = b'{"t": "' + b"x" * (2 * BLOCK)
+
+
+@pytest.mark.parametrize(
+    "last,kept",
+    [(b'{"n": 0', b""), (LONG_LINE, b""), (LONG_LINE + b'"}', LONG_LINE + b'"}\n')],
+    ids=["torn", "torn-longer-than-a-block", "whole-longer-than-a-block"],
+)
+def test_appending_mends_a_50mb_log_reading_only_its_end(tmp_path, last, kept):
+    path = tmp_path / "log.jsonl"
+    chunk = b'{"n": 0}\n' * (1 << 17)
+    with open(path, "wb") as fh:
+        for _ in range(50_000_000 // len(chunk) + 1):
+            fh.write(chunk)
+        head = fh.tell()
+        fh.write(last)
+    tracemalloc.start()
+    try:
+        with appending(path) as append:
+            append({"n": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert os.path.getsize(path) == head + len(kept) + len(b'{"n": 1}\n')
+    with open(path, "rb") as fh:
+        fh.seek(head - len(chunk))
+        assert fh.read() == chunk + kept + b'{"n": 1}\n'
 
 
 def test_iter_jsonl_reads_crlf_line_ends(tmp_path):
