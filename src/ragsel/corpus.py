@@ -170,10 +170,10 @@ class PassageStore:
             raise CorpusError(f"unknown passage id: {passage_id!r}") from None
 
 
-def _require_str(record: dict, key: str, path: str | Path, lineno: int) -> str:
+def _require_str(record: dict, key: str) -> str:
     value = record.get(key)
     if not isinstance(value, str) or not value:
-        raise CorpusError(f"{path}: line {lineno}: missing or empty field {key!r}")
+        raise ValueError(f"missing or empty field {key!r}")
     return value
 
 
@@ -185,26 +185,27 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
     ``{id}#0``, ``{id}#1``, ... chunks. ``chunk_limit=None`` disables
     splitting.
     """
-    passages: list[Passage] = []
-    seen: dict[str, int] = {}
-    for lineno, record in iter_jsonl(path, CorpusError):
-        pid = _require_str(record, "id", path, lineno)
-        doc_id = _require_str(record, "doc_id", path, lineno)
-        raw_text = _require_str(record, "text", path, lineno)
-        text = rewrite_bracket_ids(fix_text(raw_text))
+
+    def read(record: dict) -> tuple[str, str, str | None, list[str]]:
+        pid = _require_str(record, "id")
+        doc_id = _require_str(record, "doc_id")
+        text = rewrite_bracket_ids(fix_text(_require_str(record, "text")))
         if not text:
-            raise CorpusError(f"{path}: line {lineno}: passage {pid!r} is empty after normalization")
+            raise ValueError(f"passage {pid!r} is empty after normalization")
         title = record.get("title")
         if title is not None:
             if not isinstance(title, str):
-                raise CorpusError(f"{path}: line {lineno}: field 'title' must be a string")
+                raise ValueError("field 'title' must be a string")
             title = fix_text(title) or None
         # fix_text leaves one space between words, so n characters hold at most (n - 1) / 2
         # spaces: counting them, and only on long text, spares a second split
         if chunk_limit is None or len(text) < 2 * chunk_limit or text.count(" ") < chunk_limit:
-            pieces = [text]
-        else:
-            pieces = chunk_text(text, chunk_limit)
+            return pid, doc_id, title, [text]
+        return pid, doc_id, title, chunk_text(text, chunk_limit)
+
+    passages: list[Passage] = []
+    seen: dict[str, int] = {}
+    for lineno, (pid, doc_id, title, pieces) in iter_jsonl(path, CorpusError, read):
         for n, piece in enumerate(pieces):
             piece_id = pid if len(pieces) == 1 else f"{pid}#{n}"
             if piece_id in seen:
@@ -217,10 +218,10 @@ def load_corpus(path: str | Path, chunk_limit: int | None = DEFAULT_CHUNK_LIMIT)
     return PassageStore(passages)
 
 
-def _clean_str_list(record: dict, key: str, path: str | Path, lineno: int) -> tuple[str, ...]:
+def _clean_str_list(record: dict, key: str) -> tuple[str, ...]:
     value = record.get(key, [])
     if not is_string_list(value):
-        raise CorpusError(f"{path}: line {lineno}: field {key!r} must be a list of strings")
+        raise ValueError(f"field {key!r} must be a list of strings")
     return tuple(value)
 
 
@@ -231,35 +232,31 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
     evidence, non-empty gold_passage_ids. Question text and evidence spans
     are fix_text-normalized (no bracket rewrite).
     """
-    questions: list[QuestionRecord] = []
     seen: set[str] = set()
-    for lineno, record in iter_jsonl(path, CorpusError):
-        qid = _require_str(record, "id", path, lineno)
+
+    def read(record: dict) -> QuestionRecord:
+        qid = _require_str(record, "id")
         if qid in seen:
-            raise CorpusError(f"{path}: line {lineno}: duplicate question id: {qid!r}")
+            raise ValueError(f"duplicate question id: {qid!r}")
         seen.add(qid)
-        question = fix_text(_require_str(record, "question", path, lineno))
+        question = fix_text(_require_str(record, "question"))
         if not question:
-            raise CorpusError(f"{path}: line {lineno}: question {qid!r} is empty after normalization")
-        answers = tuple(fix_text(a) for a in _clean_str_list(record, "answers", path, lineno))
+            raise ValueError(f"question {qid!r} is empty after normalization")
+        answers = tuple(fix_text(a) for a in _clean_str_list(record, "answers"))
         if any(not a for a in answers):
-            raise CorpusError(f"{path}: line {lineno}: question {qid!r} has an empty answer")
-        evidence = tuple(fix_text(e) for e in _clean_str_list(record, "evidence", path, lineno))
+            raise ValueError(f"question {qid!r} has an empty answer")
+        evidence = tuple(fix_text(e) for e in _clean_str_list(record, "evidence"))
         if any(not e for e in evidence):
-            raise CorpusError(f"{path}: line {lineno}: question {qid!r} has an empty evidence span")
-        gold_ids = _clean_str_list(record, "gold_passage_ids", path, lineno)
+            raise ValueError(f"question {qid!r} has an empty evidence span")
+        gold_ids = _clean_str_list(record, "gold_passage_ids")
         if not (answers or evidence or gold_ids):
-            raise CorpusError(
-                f"{path}: line {lineno}: question {qid!r} has no answers, evidence,"
-                " or gold_passage_ids"
-            )
-        questions.append(
-            QuestionRecord(
-                id=qid,
-                question=question,
-                gold_answers=answers,
-                evidence=evidence,
-                gold_passage_ids=gold_ids,
-            )
+            raise ValueError(f"question {qid!r} has no answers, evidence, or gold_passage_ids")
+        return QuestionRecord(
+            id=qid,
+            question=question,
+            gold_answers=answers,
+            evidence=evidence,
+            gold_passage_ids=gold_ids,
         )
-    return questions
+
+    return [question for _, question in iter_jsonl(path, CorpusError, read)]

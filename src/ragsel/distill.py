@@ -16,9 +16,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .corpus import fix_text, rewrite_bracket_ids
 from .files import appending, cut_lines, iter_jsonl
@@ -61,11 +60,11 @@ class LabelingStats:
     teacher_usage: Usage = ZERO_USAGE
 
 
-def _text(record: dict, key: str, where: str) -> str:
+def _text(record: dict, key: str) -> str:
     """``record[key]``, absent read as empty; any other non-string is an input error."""
     value = record.get(key, "")
     if not isinstance(value, str):
-        raise DistillError(f"{where}: field {key!r} must be a string, not {type(value).__name__}")
+        raise ValueError(f"field {key!r} must be a string, not {type(value).__name__}")
     return value
 
 
@@ -75,31 +74,32 @@ def load_label_queries(path: str | Path) -> list[LabelQuery]:
     Candidate text is cleaned the way ``load_corpus`` cleans a passage, so
     prompts never carry stray bracketed numbers or control characters.
     """
-    queries: list[LabelQuery] = []
     seen: set[str] = set()
-    for lineno, record in iter_jsonl(path, DistillError):
-        where = f"{path}: line {lineno}"
+
+    def read(record: dict) -> LabelQuery:
         qid = record.get("id")
         if not isinstance(qid, str) or not qid:
-            raise DistillError(f"{where}: missing query id")
+            raise ValueError("missing query id")
         if qid in seen:
-            raise DistillError(f"{where}: duplicate query id: {qid!r}")
-        question = fix_text(_text(record, "question", where))
+            raise ValueError(f"duplicate query id: {qid!r}")
+        question = fix_text(_text(record, "question"))
         if not question:
-            raise DistillError(f"{where}: empty question for {qid!r}")
+            raise ValueError(f"empty question for {qid!r}")
         candidates = record.get("candidates")
         if not isinstance(candidates, list) or not candidates:
-            raise DistillError(f"{where}: no candidates for {qid!r}")
+            raise ValueError(f"no candidates for {qid!r}")
         texts = []
         for c in candidates:
             if not isinstance(c, dict):
-                raise DistillError(f"{where}: candidate is not an object for {qid!r}")
-            text = rewrite_bracket_ids(fix_text(_text(c, "text", where)))
+                raise ValueError(f"candidate is not an object for {qid!r}")
+            text = rewrite_bracket_ids(fix_text(_text(c, "text")))
             if not text:
-                raise DistillError(f"{where}: empty candidate text for {qid!r}")
+                raise ValueError(f"empty candidate text for {qid!r}")
             texts.append(text)
         seen.add(qid)
-        queries.append(LabelQuery(id=qid, question=question, candidate_texts=tuple(texts)))
+        return LabelQuery(id=qid, question=question, candidate_texts=tuple(texts))
+
+    queries = [query for _, query in iter_jsonl(path, DistillError, read)]
     if not queries:
         raise DistillError(f"{path}: no label queries found")
     return queries
@@ -145,24 +145,24 @@ def training_records(
     ]
 
 
-def _query_lines(path: Path) -> Iterator[tuple[int, str, dict]]:
-    """(line number, query id, object) per line; a line without a string ``query_id`` is an input error."""
-    for lineno, record in iter_jsonl(path, DistillError):
-        if not isinstance(record.get("query_id"), str):
-            raise DistillError(f"{path}: line {lineno}: missing string field 'query_id'")
-        yield lineno, record["query_id"], record
+def _query_line(record: dict) -> dict:
+    """A training record or reject; one without a string ``query_id`` is an input error."""
+    if not isinstance(record.get("query_id"), str):
+        raise ValueError("missing string field 'query_id'")
+    return record
 
 
 def _done_ids(records_path: Path, rejects_path: Path, strategies: list[str]) -> set[str]:
     """The query ids a resume skips: each whose records group (its consecutive lines)
     holds exactly ``strategies``, and each rejected for a reason not retried. A trailing
     group that falls short is what a kill mid-append leaves; it is cut."""
-    rejects = _query_lines(rejects_path)
-    done = {qid for _, qid, reject in rejects if reject.get("reason") not in RETRIED_REASONS}
+    rejects = iter_jsonl(rejects_path, DistillError, _query_line)
+    done = {reject["query_id"] for _, reject in rejects if reject.get("reason") not in RETRIED_REASONS}
     first, whole = 0, True
-    for qid, lines in groupby(_query_lines(records_path), key=itemgetter(1)):
+    records = iter_jsonl(records_path, DistillError, _query_line)
+    for qid, lines in groupby(records, key=lambda line: line[1]["query_id"]):
         lines = list(lines)
-        first, whole = lines[0][0], [record.get("strategy") for *_, record in lines] == strategies
+        first, whole = lines[0][0], [record.get("strategy") for _, record in lines] == strategies
         if whole:
             done.add(qid)
     if not whole:

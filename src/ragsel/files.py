@@ -1,37 +1,71 @@
-"""The one JSONL reader and every way an artifact reaches disk: a whole file is
-renamed into place from a sibling temp file, a log grows by flushed appends."""
+"""The one JSON decoder, the one JSONL reader and every way an artifact reaches disk:
+a whole file is renamed into place from a sibling temp file, a log grows by flushed appends."""
 
 from __future__ import annotations
 
 import json
 import logging
 import os
+import re
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 BLOCK = 1 << 16  # a log's last newline is looked for backwards, this many bytes at a time
 
 
-def iter_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; a line that is not
-    UTF-8 or not a JSON object raises ``error`` naming the path and line."""
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+# a \u escape of a surrogate outside a high-low pair, or any surrogate escape after a backslash,
+# whose pairing shows only once the run of backslashes is decoded; decode checks a match in full
+_LONE_SURROGATE_ESCAPE_RE = re.compile(
+    r"\\(?:\\u[dD][89a-fA-F]|u[dD][89abAB][0-9a-fA-F]{2}(?!\\u[dD][c-fC-F])"
+    r"|u[dD][c-fC-F](?<!\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F]))"  # each alternative starts with \ for speed
+)
+
+
+def decode(text: str, decoder: json.JSONDecoder = _DECODER):
+    """``text``, as strict UTF-8 decoding leaves it, as one JSON value. ValueError for the
+    ``NaN`` and ``Infinity`` that json takes but RFC 8259 section 6 has not (unless
+    ``decoder`` takes them), and for an escaped unpaired surrogate (section 8.2), which
+    would make a string no UTF-8 writer can write back or hash."""
+    value = decoder.decode(text)
+    # a surrogate gets into a str only by a \u escape: strict UTF-8 decoding refuses encoded ones
+    if "\\" in text and _LONE_SURROGATE_ESCAPE_RE.search(text):
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"unpaired surrogate {exc.object[exc.start]!r} is not a character") from None
+    return value
+
+
+def iter_jsonl(path: str | Path, error: type[Exception], read: Callable[[dict], object] | None = None) -> Iterator:
+    """(line number, object) for each non-blank line, or (line number, ``read(object)``).
+    A line that is not UTF-8, not a JSON object, or that ``read`` rejects with
+    ValueError raises ``error`` naming the path, the line and the reason."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise error(f"{path}: line {lineno}: not UTF-8") from None
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise error(f"{path}: line {lineno}: expected an object")
-            yield lineno, record
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError("not UTF-8") from None
+                if not line.strip():
+                    continue
+                try:
+                    record = decode(line)
+                except ValueError as exc:
+                    raise ValueError(f"invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise ValueError("expected an object")
+                item = record if read is None else read(record)
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: {exc}") from None
+            yield lineno, item
 
 
 def _line(item: dict | str) -> str:
@@ -82,7 +116,7 @@ def appending(path: str | Path) -> Iterator:
             start = block + newline + 1
             fh.seek(start)
             try:
-                whole = isinstance(json.loads(fh.read()), dict)
+                whole = isinstance(decode(fh.read().decode("utf-8")), dict)
             except ValueError:
                 whole = False
             if whole:

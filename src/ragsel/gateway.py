@@ -22,12 +22,12 @@ import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import typed
-from .files import appending, iter_jsonl
+from .files import _not_a_number, appending, decode, iter_jsonl
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -134,15 +134,15 @@ def text_fingerprint(model: str, text: str) -> str:
     return request_fingerprint(model, [{"role": "user", "content": text}])
 
 
-def _not_a_number(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
 def _int_in_float_range(text: str) -> int:
     value = int(text)
     if abs(value) > sys.float_info.max:
         raise ValueError("an integer beyond float range")
     return value
+
+
+# json takes integers of any size; RFC 8259 section 6 allows for none beyond float range
+_HTTP_DECODER = json.JSONDecoder(parse_constant=_not_a_number, parse_int=_int_in_float_range)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -225,8 +225,8 @@ class HttpClient:
         if status != 200:
             raise ApiError(status, body.decode("utf-8", "replace"))
         try:
-            # json.loads takes NaN, Infinity and integers of any size; RFC 8259 section 6 has none of them
-            return read(json.loads(body, parse_constant=_not_a_number, parse_int=_int_in_float_range))
+            # RFC 8259 section 8.1 lets a reader skip a byte order mark
+            return read(decode(body.decode("utf-8-sig"), _HTTP_DECODER))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             text = body.decode("utf-8", "replace")[:200]
             raise ApiError(200, f"malformed response body ({exc!r}): {text}") from None
@@ -301,19 +301,11 @@ class HttpEmbedBackend(HttpClient):
         return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
 
 
-def iter_entries(path: str | Path, check_entry, error: type[Exception]) -> Iterator[tuple[dict, object]]:
-    """Each entry of a transcript-format file, in file order, with what
-    ``check_entry`` returns for it. A line without a string 'fingerprint',
-    or that ``check_entry`` rejects with ValueError, raises ``error`` naming
-    the path and line."""
-    for lineno, record in iter_jsonl(path, error):
-        try:
-            if not isinstance(record.get("fingerprint"), str):
-                raise ValueError("transcript entry without a fingerprint")
-            checked = check_entry(record)
-        except ValueError as exc:
-            raise error(f"{path}: line {lineno}: {exc}") from None
-        yield record, checked
+def entry_fingerprint(record: dict) -> str:
+    """A transcript-format entry's 'fingerprint'; ValueError unless it is a string."""
+    if not isinstance(record.get("fingerprint"), str):
+        raise ValueError("transcript entry without a fingerprint")
+    return record["fingerprint"]
 
 
 def _is_number_list(value) -> bool:
@@ -328,7 +320,7 @@ def check_embed_entry(record: dict) -> np.ndarray:
     vector = record.get("vector")
     if not _is_number_list(vector):
         raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
-    # as in an HTTP reply, NaN, Infinity and integers beyond float range are not numbers here
+    # decoding refuses NaN and Infinity but reads 1e999 as inf; an integer beyond float range is no float either
     try:
         array = np.array(vector, dtype=np.float64)
     except OverflowError:
@@ -358,8 +350,12 @@ class TranscriptStore:
                 pass
         elif not self.path.exists():
             raise FileNotFoundError(f"transcript file not found: {self.path}")
-        entries = iter_entries(self.path, self._check_entry, TranscriptError)
-        self._entries = {entry["fingerprint"]: entry for entry, _ in entries}
+        self._entries = dict(entry for _, entry in iter_jsonl(self.path, TranscriptError, self._read_entry))
+
+    def _read_entry(self, record: dict) -> tuple[str, dict]:
+        fingerprint = entry_fingerprint(record)
+        self._check_entry(record)
+        return fingerprint, record
 
     def _check_entry(self, record: dict) -> None:
         """Raise ValueError unless ``record`` holds what a replay reads from it."""
@@ -415,7 +411,7 @@ class TranscriptChatBackend(TranscriptStore):
     """Deterministic replay of recorded chat completions."""
 
     def describe(self) -> dict:
-        info = {"kind": "transcript", "path": str(self.path)}
+        info = {"kind": "transcript" if self.record_from is None else "record", "path": str(self.path)}
         if self.record_from is not None:
             info["record_from"] = self.record_from.describe()
         return info

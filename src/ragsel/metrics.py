@@ -9,7 +9,6 @@ counted separately, never silently zeroed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -18,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import INSUFFICIENT_MARKER, CorpusError, Passage, PassageStore, QuestionRecord
-from .files import replace_atomically, write_json
+from .corpus import INSUFFICIENT_MARKER, CorpusError, Passage, PassageStore, QuestionRecord, typed
+from .files import decode, replace_atomically, write_json
 from .pipeline import QueryTrace
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
@@ -235,9 +234,19 @@ class MetricReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricReport":
+        """A saved report; MetricsError unless each field has the type ``evaluate_traces`` gives it."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                record = json.load(fh)
+                record = decode(fh.read())
+                typed(record, "per_query", list, dict)
+                for name in ("config", "counts", "efficiency", "aggregate"):
+                    typed(record, name, dict)
+                entries = record["aggregate"].values()
+                means = [record["fallback_rate"], *record["efficiency"].values(), *(e["mean"] for e in entries)]
+                if any(type(m) not in (int, float, type(None)) for m in means):
+                    raise TypeError("a mean or rate is not a number")
+                if any(type(e["count"]) is not int for e in entries):
+                    raise TypeError("a count is not an integer")
                 return cls(**{f.name: record[f.name] for f in fields(cls)})
             except (ValueError, KeyError, TypeError) as exc:
                 raise MetricsError(f"{path}: not a metrics report: {type(exc).__name__}: {exc}") from None

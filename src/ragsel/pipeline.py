@@ -257,14 +257,15 @@ def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:
     write_jsonl(path, (trace.to_dict() for trace in traces))
 
 
+def _read_trace(record: dict) -> QueryTrace:
+    try:
+        return QueryTrace.from_dict(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a trace: {exc!r}") from None
+
+
 def read_traces(path: str | Path) -> list[QueryTrace]:
-    traces = []
-    for lineno, record in iter_jsonl(path, PipelineError):
-        try:
-            traces.append(QueryTrace.from_dict(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PipelineError(f"{path}: line {lineno}: not a trace: {exc!r}") from None
-    return traces
+    return [trace for _, trace in iter_jsonl(path, PipelineError, _read_trace)]
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PassageStore, typed
-from .files import replace_atomically, write_jsonl
-from .gateway import check_embed_entry, iter_entries, text_fingerprint
+from .files import iter_jsonl, replace_atomically, write_jsonl
+from .gateway import check_embed_entry, entry_fingerprint, text_fingerprint
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # passages counted per np.unique call: it bounds the Python lists of term ids held at once
@@ -328,9 +328,9 @@ class EmbeddingCache:
     def load(cls, path: str | Path) -> "EmbeddingCache":
         """Read a save file by the embed transcript's entry rule; a malformed
         line raises RetrievalError naming it."""
-        entries = iter_entries(path, check_embed_entry, RetrievalError)
         # the check's array of each line as it is read: the file's floats are never all Python objects at once
-        return cls({entry["fingerprint"]: vector for entry, vector in entries})
+        entries = iter_jsonl(path, RetrievalError, lambda entry: (entry_fingerprint(entry), check_embed_entry(entry)))
+        return cls(dict(entry for _, entry in entries))
 
 
 # passages per embed call, and embed calls in flight at once (within gateway.MAX_INFLIGHT)

@@ -745,7 +745,32 @@ def _drop_per_query(blob):
     return json.dumps({k: v for k, v in json.loads(blob).items() if k != "per_query"}).encode()
 
 
-@pytest.mark.parametrize("damage", [lambda blob: blob[:-40], _drop_per_query], ids=["truncated", "no-per-query"])
+def _retype(key, value, entry=None):
+    """A damage that sets the report's ``key``, or the ``entry`` of it, to ``value``."""
+
+    def damage(blob):
+        report = json.loads(blob)
+        if entry is None:
+            report[key] = value
+        else:
+            report[key][entry] = value
+        return json.dumps(report).encode()
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[:-40],
+        _drop_per_query,
+        _retype("aggregate", []),
+        _retype("counts", [1]),
+        _retype("aggregate", {"mean": "0.5", "count": 2}, "em"),
+        _retype("efficiency", "12", "mean_selected_count"),
+    ],
+    ids=["truncated", "no-per-query", "aggregate-list", "counts-list", "string-mean", "string-efficiency"],
+)
 def test_cli_report_malformed_report_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0
@@ -854,6 +879,20 @@ def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, name):
         path.write_bytes(first + b'\n{"id": "caf\xe9"}\n' + rest)
     assert main([command, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {where}not UTF-8\n"
+
+
+@pytest.mark.parametrize("command,name,field", [("index", "corpus.jsonl", "text"), ("run", "chat.jsonl", "response")])
+def test_cli_input_with_an_unpaired_surrogate_is_an_input_error(tmp_path, capsys, command, name, field):
+    # json.loads takes a lone "\ud800" escape, but no UTF-8 writer can write its string back: index
+    # died hashing the corpus, and run after answering every query, as it wrote the traces
+    config_path = build_workspace(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    lines[1] = lines[1].replace(f'"{field}": "', f'"{field}": "alpha \\ud800 ', 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: invalid JSON: unpaired surrogate '\\ud800' is not a character\n"
+    assert not (tmp_path / "out" / "traces.jsonl").exists()
 
 
 def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -1,13 +1,26 @@
-"""Tests for the file layer: atomic whole-file writes and mended appends."""
+"""Tests for the file layer: atomic whole-file writes, mended appends, and the
+one reader rule every JSONL input is read by."""
 
+import itertools
+import json
 import os
+import random
+import re
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ragsel.files import BLOCK, appending, cut_lines, iter_jsonl, replace_atomically, write_json, write_jsonl
+from ragsel.corpus import CorpusError, QuestionRecord, load_corpus, load_questions
+from ragsel.distill import DistillError, load_label_queries, run_labeling
+from ragsel.files import BLOCK, appending, cut_lines, decode, iter_jsonl, replace_atomically, write_json, write_jsonl
+from ragsel.gateway import TranscriptChatBackend, TranscriptEmbedBackend, TranscriptError
+from ragsel.pipeline import PipelineError, QueryTrace, read_traces
+from ragsel.retrieval import Candidate, CandidateList, EmbeddingCache, RetrievalError
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _failing_records():
@@ -100,6 +113,16 @@ def test_appending_mends_a_last_line_without_newline(tmp_path, caplog, before, a
     assert warnings == ([f"{path}: cut a torn last line of {cut} bytes"] if cut else [])
 
 
+@pytest.mark.parametrize("last", [b'{"n": NaN}', b'{"t": "\\ud800"}'], ids=["nan", "lone-surrogate"])
+def test_appending_cuts_a_last_line_the_reader_would_refuse(tmp_path, last):
+    # json.loads takes both as whole objects; kept with a newline, the next read would fail on them
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"n": 0}\n' + last)
+    with appending(path) as append:
+        append({"n": 1})
+    assert [record for _, record in iter_jsonl(path, ValueError)] == [{"n": 0}, {"n": 1}]
+
+
 LONG_LINE = b'{"t": "' + b"x" * (2 * BLOCK)
 
 
@@ -143,3 +166,138 @@ def test_cut_lines(tmp_path):
     assert path.read_bytes() == b"a\nbb\n"
     cut_lines(path, 0)
     assert path.read_bytes() == b""
+
+
+def test_decode_refuses_what_rfc_8259_does_not_decode_to_characters_and_numbers():
+    assert decode('{"t": "\\ud83d\\ude00", "e": "\\\\ud800", "n": 1e3}') == {"t": "\U0001F600", "e": "\\ud800", "n": 1000.0}
+    for text, reason in [
+        ('{"t": "alpha \\ud800"}', "unpaired surrogate '\\ud800' is not a character"),
+        ('{"t": "\\ude00\\ud83d"}', "unpaired surrogate '\\ude00' is not a character"),
+        ('{"\\uDBFF": 1}', "unpaired surrogate '\\udbff' is not a character"),
+        ("[1, NaN]", "NaN is not a JSON number"),
+        ('{"x": -Infinity}', "-Infinity is not a JSON number"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            decode(text)
+
+
+def test_decode_finds_every_unpaired_surrogate_that_json_decodes():
+    # every string of up to four of these pieces, against the UTF-8 encoder as the oracle; the
+    # escaped backslashes decide which escapes are real, so a pair-blind filter would miss some
+    pieces = ["a", "\\\\", "\\ud83d", "\\uDE00", "\\udbff", "\\"]
+    for n in range(1, 5):
+        for parts in itertools.product(pieces, repeat=n):
+            text = '"' + "".join(parts) + '"'
+            try:
+                json.loads(text).encode("utf-8")
+                whole = True
+            except UnicodeEncodeError:
+                whole = False
+            except ValueError:
+                continue  # a lone backslash before the closing quote: not JSON
+            if whole:
+                assert decode(text) == json.loads(text), text
+            else:
+                with pytest.raises(ValueError, match="unpaired surrogate"):
+                    decode(text)
+
+
+def _labeling_resume(path):
+    """The resume scan of ``run_labeling`` over ``path`` as its records file."""
+    input_path = path.with_name("input.jsonl")
+    input_path.write_text(json.dumps({"id": "q1", "question": "a?", "candidates": [{"text": "a"}]}) + "\n", encoding="utf-8")
+    return run_labeling(input_path, None, "m", path, path.with_name("rejects.jsonl"))
+
+
+_TRACE = QueryTrace(QuestionRecord("q1", "a?", ("a",)), CandidateList("q1", "bm25", [Candidate("p1", 1.5)]))
+_VECTOR = {"fingerprint": "f1", "vector": [1.0, 0.5]}
+
+# each JSONL reader, the error its module raises, and a line it accepts
+READERS = {
+    "load_corpus": (load_corpus, CorpusError, {"id": "p1", "doc_id": "d1", "text": "alpha"}),
+    "load_questions": (load_questions, CorpusError, {"id": "q1", "question": "a?", "answers": ["a"]}),
+    "load_label_queries": (load_label_queries, DistillError, {"id": "q1", "question": "a?", "candidates": [{"text": "a"}]}),
+    "resume_scan": (_labeling_resume, DistillError, {"query_id": "q0", "strategy": "requirement_cot"}),
+    "read_traces": (read_traces, PipelineError, _TRACE.to_dict()),
+    "chat_transcript": (
+        TranscriptChatBackend, TranscriptError,
+        {"fingerprint": "f1", "response": "r", "prompt_tokens": 1, "completion_tokens": 1},
+    ),
+    "embed_transcript": (lambda path: TranscriptEmbedBackend(path, "m"), TranscriptError, _VECTOR),
+    "embedding_cache": (EmbeddingCache.load, RetrievalError, _VECTOR),
+}
+
+# each fault, as what it makes of an accepted line's JSON text
+FAULTS = {
+    "not-utf8": (lambda good: good[:-1] + b', "x": "caf\xe9"}', "not UTF-8"),
+    "invalid-json": (lambda good: good[:-1], "invalid JSON: "),
+    "not-an-object": (lambda good: b"[" + good + b"]", "expected an object"),
+    "lone-surrogate": (lambda good: good[:-1] + b', "x": "alpha \\ud800"}', "invalid JSON: unpaired surrogate"),
+    "nan": (lambda good: good[:-1] + b', "x": NaN}', "invalid JSON: NaN is not a JSON number"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_jsonl_reader_rejects_a_faulty_line_naming_the_path_and_line(tmp_path, reader, fault):
+    read, error, record = READERS[reader]
+    damage, reason = FAULTS[fault]
+    good = json.dumps(record).encode()
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(good + b"\n" + damage(good) + b"\n")
+    with pytest.raises(error) as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: line 2: {reason}")
+
+
+# a mutation: one byte changed, dropped or added, or one of these spliced in
+TOKENS = [b"\\ud800", b"\\udc00", b"\\ud83d\\ude00", b"\\", b'"', b"NaN", b"-Infinity", b"1e999", b"\n", b"\x00", b"\xff", b"{}", b"[", b"null"]
+
+
+def _mutate(rng: random.Random, blob: bytes) -> bytes:
+    at = rng.randrange(len(blob))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return blob[:at] + bytes([rng.randrange(256)]) + blob[at + 1 :]
+    if kind == 1:
+        return blob[:at] + blob[at + 1 :]
+    if kind == 2:
+        return blob[:at] + bytes([rng.randrange(256)]) + blob[at:]
+    return blob[:at] + rng.choice(TOKENS) + blob[at:]
+
+
+def _plain(obj):
+    return getattr(obj, "__dict__", None) or str(obj)
+
+
+def _digested_corpus(path):
+    store = load_corpus(path)
+    return store.digest(), store
+
+
+def _written_back(loaded) -> bytes:
+    """What a reader returned, as the JSON a writer would make of it; raises unless that can be made."""
+    return json.dumps(loaded, ensure_ascii=False, allow_nan=False, default=_plain).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "name,read,error",
+    [
+        ("corpus.jsonl", _digested_corpus, CorpusError),
+        ("questions.jsonl", load_questions, CorpusError),
+        ("chat_transcript.jsonl", TranscriptChatBackend, TranscriptError),
+        ("distill_input.jsonl", load_label_queries, DistillError),
+        ("distill_transcript.jsonl", TranscriptChatBackend, TranscriptError),
+    ],
+)
+def test_mutated_fixtures_are_rejected_by_the_module_error_or_written_back_whole(tmp_path, name, read, error):
+    rng = random.Random(f"{name}:22")
+    blob = (FIXTURES / name).read_bytes()
+    path = tmp_path / name
+    for _ in range(300):
+        path.write_bytes(_mutate(rng, blob))
+        try:
+            loaded = read(path)
+        except (error, OSError):
+            continue
+        _written_back(loaded)

@@ -170,17 +170,20 @@ NOT_A_FLOAT = "1" + "0" * 400  # a JSON integer beyond float range
 
 @pytest.mark.parametrize(
     "number,fragment",
-    [("NaN", "NaN or Infinity"), ("Infinity", "NaN or Infinity"), ("-Infinity", "NaN or Infinity"),
-     (NOT_A_FLOAT, "an integer beyond float range")],
-    ids=["nan", "infinity", "minus-infinity", "huge-int"],
+    [("NaN", "invalid JSON: NaN is not a JSON number"), ("Infinity", "invalid JSON: Infinity is not a JSON number"),
+     ("-Infinity", "invalid JSON: -Infinity is not a JSON number"),
+     (NOT_A_FLOAT, "embed entry 'vector' holds an integer beyond float range"),
+     ("1e999", "embed entry 'vector' holds NaN or Infinity"), ("-1e999", "embed entry 'vector' holds NaN or Infinity")],
+    ids=["nan", "infinity", "minus-infinity", "huge-int", "float-overflow", "minus-float-overflow"],
 )
 def test_embed_transcript_rejects_numbers_that_are_not_finite_floats(tmp_path, number, fragment):
-    # json.loads takes all four; none is a JSON number a vector can hold (RFC 8259 section 6)
+    # json.loads takes all six; none is a JSON number a vector can hold (RFC 8259 section 6). The
+    # decoder refuses the literals on any line; only a vector must hold finite floats (1e999 reads as inf)
     path = tmp_path / "emb.jsonl"
     good = json.dumps({"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 0.5]})
     bad = f'{{"fingerprint": "{text_fingerprint("emb", "b")}", "vector": [0.5, {number}]}}'
     path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
-    with pytest.raises(TranscriptError, match=f"emb.jsonl: line 2: embed entry 'vector' holds {fragment}"):
+    with pytest.raises(TranscriptError, match=f"emb.jsonl: line 2: {fragment}"):
         TranscriptEmbedBackend(path, model="emb")
 
 
@@ -417,6 +420,27 @@ def test_record_mode_appends_no_entry_its_loader_rejects(scripted_server, tmp_pa
     assert path.read_bytes() == b""  # so the transcript still loads
 
 
+def test_record_mode_appends_no_reply_holding_an_unpaired_surrogate(scripted_server, tmp_path):
+    # json.loads takes the escape, but no UTF-8 writer can write the string back
+    path = tmp_path / "t.jsonl"
+    body = b'{"choices": [{"message": {"role": "assistant", "content": "alpha \\ud800"}}]}'
+    with scripted_server([(200, body)]) as (endpoint, log):
+        backend = TranscriptChatBackend(path, record_from=HttpChatBackend(endpoint, backoff_base=0.001))
+        with pytest.raises(ApiError, match="malformed response body .*unpaired surrogate") as excinfo:
+            backend.chat(user_request("m", "hello"))
+    assert excinfo.value.status == 200
+    assert len(log) == 1
+    assert path.read_bytes() == b""
+
+
+def test_http_chat_reads_a_reply_behind_a_utf8_byte_order_mark(scripted_server):
+    # RFC 8259 section 8.1 lets a reader skip the mark
+    body = b"\xef\xbb\xbf" + json.dumps(_chat_body("hi", {"prompt_tokens": 2, "completion_tokens": 1})).encode()
+    with scripted_server([(200, body)]) as (endpoint, _):
+        backend = HttpChatBackend(endpoint, backoff_base=0.001)
+        assert backend.chat(user_request("m", "hello")) == ("hi", Usage(2, 1))
+
+
 def test_http_chat_estimates_when_usage_missing(scripted_server, tmp_path):
     script = [(200, _chat_body("a b c"))]
     with scripted_server(script) as (endpoint, _):
@@ -425,7 +449,8 @@ def test_http_chat_estimates_when_usage_missing(scripted_server, tmp_path):
         text, usage = backend.chat(user_request("m", "hello world"))
     assert text == "a b c"
     assert usage == Usage(estimate_tokens("hello world"), 3)
-    # the count reaches the run manifest through describe()
+    # the count reaches the run manifest through describe(), which names the config's backend kind
+    assert backend.describe()["kind"] == "record"
     assert backend.describe()["record_from"] == {"kind": "http", "endpoint": endpoint, "estimated_usage_calls": 1}
 
 

@@ -906,7 +906,7 @@ def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
 
 NO_FINGERPRINT = "line 4: transcript entry without a fingerprint"
 BAD_VECTOR = "line 4: embed entry without a non-empty list of numbers as 'vector'"
-NOT_FINITE = "line 4: embed entry 'vector' holds NaN or Infinity"
+NOT_FINITE = "line 4: invalid JSON: -?(NaN|Infinity) is not a JSON number"  # refused as the line is decoded
 FP = text_fingerprint("emb-1", "delta")
 
 
@@ -933,6 +933,8 @@ def _with_vector(literal):
         (_with_vector("[1, Infinity, 0, 0]"), NOT_FINITE),
         (_with_vector("[1, 0, -Infinity, 0]"), NOT_FINITE),
         (_with_vector("[1" + "0" * 400 + ", 0, 0, 0]"), "line 4: embed entry 'vector' holds an integer beyond float"),
+        (_with_vector("[1e999, 0, 0, 0]"), "line 4: embed entry 'vector' holds NaN or Infinity"),  # reads as inf
+        (_with_vector("[1, 0, 0, -1e999]"), "line 4: embed entry 'vector' holds NaN or Infinity"),
         (
             # the earlier format: a {"model", "dim"} header, then entries keyed by passage id
             lambda text: '{"model": "emb-1", "dim": 4}\n{"id": "p1", "vector": [1.0, 0.0, 0.0, 0.0]}\n',
@@ -941,7 +943,8 @@ def _with_vector(literal):
     ],
     ids=[
         "truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector",
-        "bool-vector", "empty-vector", "nan", "infinity", "minus-infinity", "huge-int", "old-header",
+        "bool-vector", "empty-vector", "nan", "infinity", "minus-infinity", "huge-int",
+        "float-overflow", "minus-float-overflow", "old-header",
     ],
 )
 def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
