@@ -14,6 +14,12 @@ Then ``load_corpus_dirty_s`` times ``load_corpus`` over a copy of the corpus
 in which each text starts with a tab and holds a doubled space, so every
 text takes the cleaning path that splits and joins it again.
 
+``estimate_tokens_us`` is the best-of-5 time of one ``gateway.estimate_tokens``
+call on the ``requirement_cot`` selector prompt rendered for the first
+question's 20 BM25 candidates, which is ASCII and counted in one bytes pass;
+``estimate_tokens_non_ascii_us`` times the same prompt with one ``é`` added,
+which takes the regex path.
+
 Then a ``DenseRetriever`` embeds the corpus in-process with the benchmark's
 scripted model (``bench/scripted.embed_text``, 256 dimensions), and the
 probe reports ``dense_search_ms_per_query`` (``retrieve`` at k = 20, query
@@ -33,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,7 +52,9 @@ def measure(inputs: Path) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from ragsel.corpus import CorpusError, load_corpus, load_questions
     from ragsel.files import iter_jsonl
+    from ragsel.gateway import estimate_tokens
     from ragsel.retrieval import DenseRetriever, build_index, load_index, save_index, search
+    from ragsel.selection import Strategy, render_prompt
     from scripted import embed_text
 
     corpus, index_path = inputs / "corpus.jsonl", inputs / "index.npz"
@@ -71,6 +80,11 @@ def measure(inputs: Path) -> dict:
         search(index, question, K)
     record["search_ms_per_query"] = round(1000 * (time.perf_counter() - start) / len(questions), 4)
     record["queries"] = len(questions)
+    texts = [store.get(pid).text for pid in search(index, questions[0], K).ids]
+    prompt = render_prompt(Strategy.REQUIREMENT_COT, questions[0], texts)
+    for name, text in (("estimate_tokens_us", prompt), ("estimate_tokens_non_ascii_us", prompt + "\u00e9")):
+        best = min(timeit.repeat(lambda: estimate_tokens(text), number=200, repeat=5)) / 200
+        record[name] = round(1e6 * best, 1)
     record["index_bytes"] = index_path.stat().st_size
     record["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     del index

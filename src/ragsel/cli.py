@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import CorpusError, DEFAULT_CHUNK_LIMIT, is_string_list, load_corpus, load_questions
 from .distill import VARIANTS, DistillError, run_labeling
-from .files import write_jsonl
+from .files import _not_a_number, decode, write_jsonl
 from .gateway import (
     BACKEND_ERRORS,
     HttpChatBackend,
@@ -187,11 +187,16 @@ def merge_config(base: dict, override: dict, prefix: str = "") -> dict:
 
 
 def parse_set_value(raw: str):
-    """--set values parse as JSON when possible, bare strings otherwise."""
+    """--set values parse as JSON when possible, bare strings otherwise (``NaN`` too, as
+    JSON has no such number); JSON that ``files.decode`` refuses is a ConfigError."""
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
+        json.loads(raw, parse_constant=_not_a_number)
+    except ValueError:
         return raw
+    try:
+        return decode(raw)
+    except ValueError as exc:  # an escaped unpaired surrogate
+        raise ConfigError("--set", f"{raw!r}: {exc}") from None
 
 
 def overrides_from_sets(pairs: list[str]) -> dict:
@@ -220,13 +225,12 @@ def load_config(path: str | None, set_pairs: list[str], flag_overrides: dict) ->
     cfg = default_config()
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+            file_cfg = decode(Path(path).read_bytes().decode("utf-8"))
         except FileNotFoundError:
             raise ConfigError("--config", f"no such file: {path}")
         except UnicodeDecodeError:
             raise ConfigError("--config", f"{path} is not UTF-8")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError("--config", f"invalid JSON in {path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("--config", "top level must be a JSON object")

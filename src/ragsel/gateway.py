@@ -30,6 +30,11 @@ from .corpus import typed
 from .files import _not_a_number, appending, decode, iter_jsonl
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# each byte as _TOKEN_RE classes it: a word byte, a space byte (also \x1c-\x1f, which
+# bytes.split keeps but \s matches) or a mark byte, so ASCII text is counted in bytes
+_BYTE_CLASSES = b"".join(
+    b"a" if re.match(r"\w", chr(b)) else b" " if re.match(r"\s", chr(b)) else b"." for b in range(256)
+)
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_INFLIGHT = 8  # concurrent requests per HttpClient
@@ -92,7 +97,11 @@ def merge_usage(a: Usage, b: Usage) -> Usage:
 
 
 def estimate_tokens(text: str) -> int:
-    """Deterministic token estimate: words plus standalone punctuation marks."""
+    """Deterministic token estimate: words plus standalone marks, by ``re``'s Unicode
+    classes. ASCII text is counted in one bytes pass, with the same result."""
+    if text.isascii():
+        classes = text.encode("ascii").translate(_BYTE_CLASSES)
+        return classes.count(b".") + len(classes.replace(b".", b" ").split())
     return len(_TOKEN_RE.findall(text))
 
 
@@ -296,6 +305,7 @@ class HttpEmbedBackend(HttpClient):
             dims = {len(v) for v in vectors}
             if len(dims) > 1:
                 raise ValueError(f"embeddings of inconsistent dimensions {sorted(dims)}")
+            _float_array(vectors, "an embedding")
             return vectors
 
         return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
@@ -320,13 +330,19 @@ def check_embed_entry(record: dict) -> np.ndarray:
     vector = record.get("vector")
     if not _is_number_list(vector):
         raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
+    return _float_array(vector, "embed entry 'vector'")
+
+
+def _float_array(numbers: list, what: str) -> np.ndarray:
+    """``numbers`` (a list of numbers, or of equal-length lists of them) as a float64
+    array; ValueError naming ``what`` unless every number is a finite float."""
     # decoding refuses NaN and Infinity but reads 1e999 as inf; an integer beyond float range is no float either
     try:
-        array = np.array(vector, dtype=np.float64)
+        array = np.array(numbers, dtype=np.float64)
     except OverflowError:
-        raise ValueError("embed entry 'vector' holds an integer beyond float range") from None
+        raise ValueError(f"{what} holds an integer beyond float range") from None
     if not np.isfinite(array).all():
-        raise ValueError("embed entry 'vector' holds NaN or Infinity")
+        raise ValueError(f"{what} holds NaN or Infinity")
     return array
 
 

@@ -140,6 +140,15 @@ def test_parse_set_value():
     assert parse_set_value('["cot"]') == ["cot"]
     assert parse_set_value("cot") == "cot"
     assert parse_set_value("3.5") == 3.5
+    # JSON has no NaN or Infinity, so they are bare strings like any other non-JSON value
+    assert parse_set_value("NaN") == "NaN"
+    assert parse_set_value("-Infinity") == "-Infinity"
+    assert parse_set_value("[NaN]") == "[NaN]"
+
+
+def test_set_value_holding_an_unpaired_surrogate_is_a_config_error(capsys):
+    assert main(["config", "--set", 'generation_backend.model="gen\\ud800"']) == 2
+    assert capsys.readouterr().err.startswith("config error: --set: ")
 
 
 def test_overrides_from_sets():
@@ -900,6 +909,18 @@ def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config_path.write_bytes(b'{"strategy": "caf\xe9"}')
     assert main(["config", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"config error: --config: {config_path} is not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"generation_backend": {"model": "gen\\ud800"}}', "unpaired surrogate '\\ud800' is not a character"),
+     ('{"retriever": {"k": NaN}}', "NaN is not a JSON number")],
+)
+def test_cli_config_that_files_decode_refuses_is_a_config_error(tmp_path, capsys, text, reason):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text, encoding="utf-8")
+    assert main(["config", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: --config: invalid JSON in {config_path}: {reason}\n"
 
 
 # --- distill command ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from ragsel.gateway import (
     TransportError,
     Usage,
     ZERO_USAGE,
+    _TOKEN_RE,
     estimate_tokens,
     merge_usage,
     request_fingerprint,
@@ -43,6 +45,36 @@ def test_estimate_tokens_more_shapes():
     assert estimate_tokens("don't") == 3  # don / ' / t
     assert estimate_tokens("x.") == 2
     assert estimate_tokens("   ") == 0
+    assert estimate_tokens("a\x1fb") == 2  # \x1f is \s to re but not whitespace to bytes.split
+    assert estimate_tokens("caf\u00e9.") == 2
+    assert estimate_tokens("\u6771\u4eac\u3002") == 2
+    assert estimate_tokens("e\u0301") == 2  # a combining accent is neither \w nor \s
+    assert estimate_tokens("\u0663\u0664 x") == 2
+
+
+def _regex_count(text: str) -> int:
+    return len(_TOKEN_RE.findall(text))
+
+
+def test_estimate_tokens_counts_every_ascii_pair_as_the_regex_does():
+    for a in map(chr, range(128)):
+        for b in map(chr, range(128)):
+            for text in (a + b, f"x{a}{b}y", f"{a}xy{b}", f"{a} {b}"):
+                assert estimate_tokens(text) == _regex_count(text), repr(text)
+
+
+NON_ASCII = ["\u00a0", "\u2028", "\u3000", "\u00e9", "\u0301", "\u6771\u4eac", "\u3002", "\u0663\u0664"]
+
+
+def test_estimate_tokens_of_mixed_text_equals_the_regex_count():
+    rng = random.Random(24)
+    alphabet = [chr(c) for c in range(128)] + NON_ASCII
+    ascii_only = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(25)))
+        ascii_only += text.isascii()
+        assert estimate_tokens(text) == _regex_count(text), repr(text)
+    assert 2000 < ascii_only < 18_000  # both ways of counting were taken
 
 
 def test_merge_usage_identity_and_sum():
@@ -556,15 +588,27 @@ def test_http_embed_inconsistent_dims_error(scripted_server):
     assert excinfo.value.status == 200
 
 
+INFINITE = "an embedding holds NaN or Infinity"  # the embedding transcript and cache's rule
+
+
 @pytest.mark.parametrize(
-    "number", ["NaN", "Infinity", "-Infinity", NOT_A_FLOAT], ids=["nan", "infinity", "minus-infinity", "huge-int"]
+    "number, reason",
+    [
+        ("NaN", "NaN is not a JSON number"),
+        ("Infinity", "Infinity is not a JSON number"),
+        ("-Infinity", "-Infinity is not a JSON number"),
+        (NOT_A_FLOAT, "an integer beyond float range"),
+        ("1e999", INFINITE),
+        ("-1e999", INFINITE),
+        (NOT_A_FLOAT + ".0", INFINITE),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "huge-int", "overflow", "minus-overflow", "long-float"],
 )
-def test_http_embed_number_that_is_not_a_finite_float_is_api_error(scripted_server, number):
+def test_http_embed_number_that_is_not_a_finite_float_is_api_error(scripted_server, number, reason):
     body = f'{{"data": [{{"embedding": [0.5, 1.0]}}, {{"embedding": [0.5, {number}]}}]}}'.encode()
     with scripted_server([(200, body)]) as (endpoint, log):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
-        not_a_number = r"malformed response body \(ValueError\('(.* is not a JSON number|an integer beyond float range)"
-        with pytest.raises(ApiError, match=not_a_number) as err:
+        with pytest.raises(ApiError, match=re.escape(f"malformed response body (ValueError({reason!r})")) as err:
             backend.embed(["a", "b"])
     assert err.value.status == 200
     assert len(log) == 1
