@@ -5,11 +5,12 @@
 
 For each size, ``bench/gen.py`` writes its seeded inputs into a temporary
 directory, and a fresh interpreter times, in order: the corpus file's
-sha256, JSON parsing alone (``files.iter_jsonl``), ``load_corpus``,
-``PassageStore.digest``, ``build_index``, ``save_index``, ``load_index``,
-and BM25 ``search`` at k = 20 over the generated questions. One JSON object
-per size goes to stdout, with the index file's bytes and the peak RSS of
-the measuring process up to here, which does not include the generator's.
+sha256 (read in 1 MiB blocks), JSON parsing alone (``files.iter_jsonl``),
+``load_corpus``, ``PassageStore.digest``, ``build_index``, ``save_index``,
+``load_index``, and BM25 ``search`` at k = 20 over the generated questions.
+One JSON object per size goes to stdout, with the index file's bytes and
+the peak RSS of the measuring process up to here, which does not include
+the generator's.
 Then ``load_corpus_dirty_s`` times ``load_corpus`` over a copy of the corpus
 in which each text starts with a tab and holds a doubled space, so every
 text takes the cleaning path that splits and joins it again.
@@ -26,7 +27,11 @@ probe reports ``dense_search_ms_per_query`` (``retrieve`` at k = 20, query
 embedding included) and ``dense_cpu_per_wall``: the process's CPU seconds
 per wall second over the questions again, with a 5 ms sleep after each, as
 a caller waiting on a model would. A value near 1 or above means a thread
-kept a CPU busy while the caller slept.
+kept a CPU busy while the caller slept. Last come the embedding cache that
+this cold ``DenseRetriever`` wrote: ``embedding_cache_save_s`` times one
+``EmbeddingCache.save`` of it, ``embedding_cache_load_s`` a warm
+``DenseRetriever`` construction over it (fingerprints, cache read, norms),
+and ``embedding_cache_bytes`` is its size.
 """
 
 from __future__ import annotations
@@ -47,17 +52,25 @@ ROOT = Path(__file__).resolve().parent.parent
 K = 20
 
 
+def sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def measure(inputs: Path) -> dict:
     """The timings of one cold set-up over the inputs in ``inputs``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from ragsel.corpus import CorpusError, load_corpus, load_questions
     from ragsel.files import iter_jsonl
     from ragsel.gateway import estimate_tokens
-    from ragsel.retrieval import DenseRetriever, build_index, load_index, save_index, search
+    from ragsel.retrieval import DenseRetriever, EmbeddingCache, build_index, load_index, save_index, search
     from ragsel.selection import Strategy, render_prompt
     from scripted import embed_text
 
-    corpus, index_path = inputs / "corpus.jsonl", inputs / "index.npz"
+    corpus, index_path, cache_path = inputs / "corpus.jsonl", inputs / "index.npz", inputs / "embeddings.npz"
     record = {}
 
     def timed(name, step):
@@ -66,7 +79,7 @@ def measure(inputs: Path) -> dict:
         record[name] = round(time.perf_counter() - start, 4)
         return value
 
-    timed("sha256_s", lambda: hashlib.sha256(corpus.read_bytes()).hexdigest())
+    timed("sha256_s", lambda: sha256_file(corpus))
     timed("iter_jsonl_s", lambda: sum(1 for _ in iter_jsonl(corpus, CorpusError)))
     store = timed("load_corpus_s", lambda: load_corpus(corpus))
     timed("digest_s", store.digest)
@@ -90,7 +103,7 @@ def measure(inputs: Path) -> dict:
     del index
     timed("load_corpus_dirty_s", lambda: load_corpus(inputs / "corpus_dirty.jsonl"))
     backend = SimpleNamespace(model="embed", embed=lambda texts: [embed_text(t) for t in texts])
-    dense = DenseRetriever(backend, store, inputs / "embeddings.jsonl")
+    dense = DenseRetriever(backend, store, cache_path)
     start = time.perf_counter()
     for question in questions:
         dense.retrieve(question, K)
@@ -100,6 +113,12 @@ def measure(inputs: Path) -> dict:
         dense.retrieve(question, K)
         time.sleep(0.005)
     record["dense_cpu_per_wall"] = round((time.process_time() - cpu) / (time.perf_counter() - wall), 3)
+    del dense
+    cache = EmbeddingCache.load(cache_path)
+    timed("embedding_cache_save_s", lambda: cache.save(cache_path))
+    del cache
+    timed("embedding_cache_load_s", lambda: DenseRetriever(backend, store, cache_path))
+    record["embedding_cache_bytes"] = cache_path.stat().st_size
     return record
 
 

@@ -37,12 +37,12 @@ def fix_text(raw: str) -> str:
     Idempotent and total; never raises on str input.
     """
     text = unicodedata.normalize("NFC", raw)
-    if not text.isprintable():  # every code point _CONTROL_RE matches is non-printable
-        text = _CONTROL_RE.sub(" ", text)
-    elif "  " not in text and text[:1] != " " and text[-1:] != " ":
+    if text.isprintable() and "  " not in text and text[:1] != " " and text[-1:] != " ":
         return text  # U+0020 is the only whitespace that is printable: already clean
     # split() with no separator splits on every Unicode whitespace run and drops the ends
-    return " ".join(text.split())
+    text = " ".join(text.split())
+    # every code point _CONTROL_RE matches is non-printable; the spaces it puts in only add split points
+    return text if text.isprintable() else " ".join(_CONTROL_RE.sub(" ", text).split())
 
 
 def rewrite_bracket_ids(text: str) -> str:

@@ -320,7 +320,7 @@ def entry_fingerprint(record: dict) -> str:
 
 def _is_number_list(value) -> bool:
     # JSON numbers load as int or float; a bool is neither here. The set of
-    # types is built in C: a warm embedding cache checks every float it reads
+    # types is built in C: an embedding transcript checks every float it reads
     return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
 
 

@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PassageStore, typed
-from .files import iter_jsonl, replace_atomically, write_jsonl
-from .gateway import check_embed_entry, entry_fingerprint, text_fingerprint
+from .files import replace_atomically
+from .gateway import text_fingerprint
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # passages counted per np.unique call: it bounds the Python lists of term ids held at once
@@ -259,6 +259,12 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
     return CandidateList(query_id=query_id, retriever="bm25", items=items)
 
 
+# what np.load and the checks after it raise for a damaged or foreign .npz: a damaged zip directory
+# also raises NotImplementedError, a RuntimeError ("zip file version 9.9"), RuntimeError ("is
+# encrypted") or OSError (a seek out of range)
+_NPZ_ERRORS = (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile)
+
+
 def save_index(index: Bm25Index, path: str | Path) -> None:
     """Write one uncompressed .npz: the CSR arrays plus a JSON header."""
     header = dict(format="ragsel-bm25-index", version=3, k1=index.k1, b=index.b, analyzer=index.analyzer.to_dict(),
@@ -290,10 +296,7 @@ def load_index(path: str | Path) -> Bm25Index:
             raise ValueError("inconsistent index arrays")
         params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
         return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params, header["digest"])
-    # a damaged zip directory also raises NotImplementedError, a RuntimeError ("zip
-    # file version 9.9"), RuntimeError ("is encrypted") or OSError (a seek out of range)
-    except (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError, OSError,
-            zipfile.BadZipFile) as exc:
+    except _NPZ_ERRORS as exc:
         raise RetrievalError(f"{path}: not a BM25 index file") from exc
 
 
@@ -311,26 +314,42 @@ class Bm25Retriever:
 
 
 class EmbeddingCache:
-    """On-disk passage embeddings in the embed transcript's entry format.
-
-    One {"fingerprint", "vector"} line per text, keyed by
-    ``gateway.text_fingerprint(model, text)``: an edited text or another
-    model is a miss, never a stale hit.
+    """Passage embeddings: row i of ``matrix`` is the vector of the text whose
+    ``gateway.text_fingerprint(model, text)`` is ``fingerprints[i]``, so an edited
+    text or another model is a miss, never a stale hit. On disk, one uncompressed
+    .npz holds a JSON header, each fingerprint as its 32 digest bytes, and the matrix.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray] | None = None):
-        self.vectors: dict[str, np.ndarray] = vectors or {}
+    def __init__(self, model: str, fingerprints: list[str], matrix: np.ndarray):
+        self.model, self.fingerprints, self.matrix = model, fingerprints, matrix
 
     def save(self, path: str | Path) -> None:
-        write_jsonl(path, ({"fingerprint": fp, "vector": vec.tolist()} for fp, vec in self.vectors.items()))
+        header = dict(format="ragsel-embeddings", version=1, model=self.model, dim=self.matrix.shape[1])
+        header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        digests = np.frombuffer(bytes.fromhex("".join(self.fingerprints)), dtype=np.uint8).reshape(-1, 32)
+        with replace_atomically(path, "wb") as fh:  # a handle, as in save_index: the name stays as given
+            np.savez(fh, header=header_bytes, fingerprints=digests, matrix=self.matrix)
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
-        """Read a save file by the embed transcript's entry rule; a malformed
-        line raises RetrievalError naming it."""
-        # the check's array of each line as it is read: the file's floats are never all Python objects at once
-        entries = iter_jsonl(path, RetrievalError, lambda entry: (entry_fingerprint(entry), check_embed_entry(entry)))
-        return cls(dict(entry for _, entry in entries))
+        """Read a save file; any other file, a JSONL cache of earlier versions too, raises RetrievalError."""
+        fh = open(path, "rb")  # as in load_index: a file that cannot be opened raises open's OSError
+        try:
+            with fh, np.load(fh, allow_pickle=False) as npz:
+                header = json.loads(npz["header"].tobytes())
+                digests, matrix = npz["fingerprints"], npz["matrix"]
+            if not (
+                (header["format"], header["version"]) == ("ragsel-embeddings", 1)
+                and isinstance(header["model"], str)
+                and digests.dtype == np.uint8 and matrix.dtype == np.float64 and matrix.ndim == 2
+                and digests.shape == (matrix.shape[0], 32) and matrix.shape[1] == header["dim"] >= 1
+                and np.isfinite(matrix).all()
+            ):
+                raise ValueError("inconsistent embedding arrays")
+        except _NPZ_ERRORS as exc:
+            raise RetrievalError(f"{path}: not an embedding cache; delete it and the next command rebuilds it") from exc
+        hexes = digests.tobytes().hex()
+        return cls(header["model"], [hexes[i : i + 64] for i in range(0, len(hexes), 64)], matrix)
 
 
 # passages per embed call, and embed calls in flight at once (within gateway.MAX_INFLIGHT)
@@ -348,23 +367,26 @@ def precompute_embeddings(backend, store: PassageStore, cache_path: str | Path) 
     the matrix do not depend on the batch size or the parallelism.
     """
     cache_path = Path(cache_path)
-    cache = EmbeddingCache.load(cache_path) if cache_path.exists() else EmbeddingCache()
+    cache = EmbeddingCache.load(cache_path) if cache_path.exists() else EmbeddingCache(backend.model, [], np.empty(0))
     keys = [text_fingerprint(backend.model, p.text) for p in store]
+    if cache.fingerprints == keys:
+        return cache.matrix  # as loaded: no copy
     texts = dict(zip(keys, (p.text for p in store)))
-    missing = [fp for fp in texts if fp not in cache.vectors]
+    vectors = dict(zip(cache.fingerprints, cache.matrix))
+    missing = [fp for fp in texts if fp not in vectors]
     batches = [missing[i : i + EMBED_BATCH_SIZE] for i in range(0, len(missing), EMBED_BATCH_SIZE)]
     with ThreadPoolExecutor(max_workers=EMBED_PARALLELISM) as pool:
         results = pool.map(lambda batch: backend.embed([texts[fp] for fp in batch]), batches)
-        for batch, vectors in zip(batches, results):
-            cache.vectors.update(zip(batch, (np.asarray(v, dtype=np.float64) for v in vectors)))
+        for batch, embedded in zip(batches, results):
+            vectors.update(zip(batch, (np.asarray(v, dtype=np.float64) for v in embedded)))
     try:
-        matrix = np.stack([cache.vectors[fp] for fp in keys])
+        matrix = np.stack([vectors[fp] for fp in keys])
     except ValueError:
-        dims = sorted({cache.vectors[fp].size for fp in texts})
+        dims = sorted({vectors[fp].size for fp in texts})
         raise RetrievalError(f"passage embeddings differ in dimension {dims} (cache {cache_path})") from None
-    if missing or len(cache.vectors) > len(texts):
-        cache.vectors = {fp: cache.vectors[fp] for fp in texts}
-        cache.save(cache_path)
+    if missing or len(vectors) > len(texts):
+        rows = matrix if len(texts) == len(keys) else np.stack([vectors[fp] for fp in texts])
+        EmbeddingCache(backend.model, list(texts), rows).save(cache_path)
     return matrix
 
 

@@ -691,6 +691,21 @@ def test_cli_ragged_embeddings_are_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "emb.jsonl").exists()
 
 
+def test_cli_jsonl_embedding_cache_of_earlier_versions_is_an_input_error(tmp_path, capsys):
+    config_path = build_workspace(tmp_path)
+    store = load_corpus(tmp_path / "corpus.jsonl")
+    cache_path = tmp_path / "emb.jsonl"
+    write_jsonl(cache_path, [{"fingerprint": text_fingerprint("embedder", p.text), "vector": [1.0]} for p in store])
+    before = cache_path.read_bytes()
+    (tmp_path / "emb_transcript.jsonl").write_text("", encoding="utf-8")
+    dense = ["--set", f"paths.embedding_cache={cache_path}",
+             "--set", f"embedding_backend.transcript={tmp_path / 'emb_transcript.jsonl'}"]
+    assert main(["retrieve", "--retriever", "dense", "--query", "apple", "--config", str(config_path), *dense]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cache_path}: not an embedding cache; delete it and the next command rebuilds it\n"
+    assert cache_path.read_bytes() == before
+
+
 @pytest.mark.parametrize("damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n"])
 def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)

@@ -118,6 +118,18 @@ def test_fix_text_equals_the_regex_reference(monkeypatch):
     assert skipped >= 1000 and triggered >= 1000 and clean >= 1000
 
 
+@pytest.mark.parametrize(
+    "raw,calls",
+    [("\tleading tab\nand a newline", 0), ("a\r\n b\x0b\x1cc\x85", 0), ("x\u2028y\u3000 z", 0), ("a\tb\x00c", 1)],
+    ids=["tab-newline", "whitespace-controls", "unicode-spaces", "nul"],
+)
+def test_fix_text_runs_the_control_regex_only_on_controls_split_keeps(monkeypatch, raw, calls):
+    control_re = _CountingPattern(corpus._CONTROL_RE)
+    monkeypatch.setattr(corpus, "_CONTROL_RE", control_re)
+    assert fix_text(raw) == _reference_fix_text(raw)
+    assert control_re.calls == calls
+
+
 def test_rewrite_bracket_ids_examples():
     assert rewrite_bracket_ids("see [12] and [3]") == "see (12) and (3)"
     assert rewrite_bracket_ids("ranges [12a] stay") == "ranges [12a] stay"

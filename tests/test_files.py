@@ -18,7 +18,7 @@ from ragsel.distill import DistillError, load_label_queries, run_labeling
 from ragsel.files import BLOCK, appending, cut_lines, decode, iter_jsonl, replace_atomically, write_json, write_jsonl
 from ragsel.gateway import TranscriptChatBackend, TranscriptEmbedBackend, TranscriptError
 from ragsel.pipeline import PipelineError, QueryTrace, read_traces
-from ragsel.retrieval import Candidate, CandidateList, EmbeddingCache, RetrievalError
+from ragsel.retrieval import Candidate, CandidateList
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -224,7 +224,6 @@ READERS = {
         {"fingerprint": "f1", "response": "r", "prompt_tokens": 1, "completion_tokens": 1},
     ),
     "embed_transcript": (lambda path: TranscriptEmbedBackend(path, "m"), TranscriptError, _VECTOR),
-    "embedding_cache": (EmbeddingCache.load, RetrievalError, _VECTOR),
 }
 
 # each fault, as what it makes of an accepted line's JSON text

@@ -16,7 +16,7 @@ import pytest
 from ragsel import retrieval
 from ragsel.corpus import Passage, PassageStore
 from ragsel.files import write_jsonl
-from ragsel.gateway import MAX_INFLIGHT, TranscriptEmbedBackend, TranscriptError, text_fingerprint
+from ragsel.gateway import MAX_INFLIGHT, text_fingerprint
 from ragsel.retrieval import (
     AnalyzerConfig,
     Candidate,
@@ -689,8 +689,8 @@ def test_dense_non_integer_scores_match_an_exact_cosine(tmp_path):
         assert all(math.isclose(c.score, exact[c.passage_id], rel_tol=1e-12) for c in got)
 
 
-def _cache_lines(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+def _cached_fingerprints(path):
+    return EmbeddingCache.load(path).fingerprints
 
 
 def test_embedding_cache_roundtrip(tmp_path):
@@ -700,13 +700,11 @@ def test_embedding_cache_roundtrip(tmp_path):
     assert backend.calls >= 1
     assert matrix.dtype == np.float64
     assert matrix.tolist() == [backend.table[p.text] for p in store]
-    assert _cache_lines(path) == [
-        {"fingerprint": text_fingerprint("emb-1", p.text), "vector": backend.table[p.text]} for p in store
-    ]
     reloaded = EmbeddingCache.load(path)
-    assert {fp: vec.tolist() for fp, vec in reloaded.vectors.items()} == {
-        text_fingerprint("emb-1", p.text): backend.table[p.text] for p in store
-    }
+    assert reloaded.model == "emb-1"
+    assert reloaded.fingerprints == [text_fingerprint("emb-1", p.text) for p in store]
+    assert reloaded.matrix.dtype == np.float64
+    assert reloaded.matrix.tolist() == [backend.table[p.text] for p in store]
 
 
 def test_precompute_reuses_fresh_cache(tmp_path):
@@ -714,16 +712,22 @@ def test_precompute_reuses_fresh_cache(tmp_path):
     path = tmp_path / "emb.jsonl"
     precompute_embeddings(backend, store, path)
     calls_before = backend.calls
-    # spacing no rewrite produces, so an unchanged file shows no rewrite happened
-    path.write_text(path.read_text(encoding="utf-8").replace(", ", ",  "), encoding="utf-8")
-    before = path.read_bytes()
+    # a rewrite renames a new file into place: the same inode shows no rewrite happened
+    before = path.stat().st_ino
     precompute_embeddings(backend, store, path)
     assert backend.calls == calls_before
-    assert path.read_bytes() == before
+    assert path.stat().st_ino == before
+    # the same texts in another order, one of them twice: nothing to embed or prune, so no rewrite
+    shuffled = PassageStore([Passage(f"q{i}", "d", p.text) for i, p in enumerate([*reversed(list(store)), list(store)[0]])])
+    matrix = precompute_embeddings(backend, shuffled, path)
+    assert matrix.tolist() == [backend.table[p.text] for p in shuffled]
+    assert backend.calls == calls_before
+    assert path.stat().st_ino == before
     # one passage fewer: its entry is pruned, so the file is rewritten
     precompute_embeddings(backend, PassageStore(list(store)[:2]), path)
     assert backend.calls == calls_before
-    assert len(_cache_lines(path)) == 2
+    assert path.stat().st_ino != before
+    assert _cached_fingerprints(path) == [text_fingerprint("emb-1", p.text) for p in list(store)[:2]]
 
 
 def test_precompute_invalidates_on_model_change(tmp_path):
@@ -734,7 +738,7 @@ def test_precompute_invalidates_on_model_change(tmp_path):
     matrix = precompute_embeddings(other, store, path)
     assert other.texts == Counter(p.text for p in store)
     assert matrix.tolist() == [[float(len(p.text)), 1.0] for p in store]
-    assert [line["fingerprint"] for line in _cache_lines(path)] == [text_fingerprint("emb-2", p.text) for p in store]
+    assert _cached_fingerprints(path) == [text_fingerprint("emb-2", p.text) for p in store]
 
 
 def test_precompute_embeds_an_edited_passage_and_only_it(tmp_path):
@@ -748,7 +752,7 @@ def test_precompute_embeds_an_edited_passage_and_only_it(tmp_path):
     assert backend.texts == Counter(["a longer text now"])
     assert matrix.tolist() == [[17.0, 1.0], [2.0, 1.0], [4.0, 1.0]]
     # the rewrite holds exactly the current texts: the old p1 entry is pruned
-    assert [line["fingerprint"] for line in _cache_lines(path)] == [text_fingerprint("emb-1", t) for t in texts.values()]
+    assert _cached_fingerprints(path) == [text_fingerprint("emb-1", t) for t in texts.values()]
 
 
 def test_precompute_embeds_identical_texts_once(tmp_path):
@@ -759,20 +763,10 @@ def test_precompute_embeds_identical_texts_once(tmp_path):
     assert matrix.shape == (9, 2)
 
 
-def test_cached_vector_replays_through_the_embed_transcript(tmp_path):
-    store, backend = _dense_fixture()
-    path = tmp_path / "emb.jsonl"
-    precompute_embeddings(backend, store, path)
-    assert TranscriptEmbedBackend(path, "emb-1").embed(["gamma", "alpha"]) == [
-        backend.table["gamma"],
-        backend.table["alpha"],
-    ]
-
-
 def test_cache_dimension_mismatch_errors(tmp_path):
     store, backend = _dense_fixture()
     path = tmp_path / "emb.jsonl"
-    write_jsonl(path, [{"fingerprint": text_fingerprint("emb-1", "alpha"), "vector": [1.0, 0.0]}])
+    EmbeddingCache("emb-1", [text_fingerprint("emb-1", "alpha")], np.array([[1.0, 0.0]])).save(path)
     before = path.read_bytes()
     with pytest.raises(RetrievalError, match=r"differ in dimension \[2, 4\]"):
         precompute_embeddings(backend, store, path)
@@ -856,18 +850,22 @@ def test_precompute_output_does_not_depend_on_batching(tmp_path, monkeypatch):
     table = {t: [float(n), 1.0] for n, t in enumerate(dict.fromkeys(texts))}
     store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=t) for i, t in enumerate(texts)])
     # a warm start: some store texts in another order, and one the store lacks
-    warm = [{"fingerprint": text_fingerprint("emb-1", t), "vector": table.get(t, [9.0, 9.0])}
-            for t in [*texts[90:30:-7], "gone"]]
+    warm_texts = [*texts[90:30:-7], "gone"]
+    warm_vectors = np.array([table.get(t, [9.0, 9.0]) for t in warm_texts])
+    warm = EmbeddingCache("emb-1", [text_fingerprint("emb-1", t) for t in warm_texts], warm_vectors)
     outputs = []
     for settings in [(1, 1), (retrieval.EMBED_BATCH_SIZE, retrieval.EMBED_PARALLELISM)]:
         monkeypatch.setattr(retrieval, "EMBED_BATCH_SIZE", settings[0])
         monkeypatch.setattr(retrieval, "EMBED_PARALLELISM", settings[1])
         path = tmp_path / f"emb-{settings[0]}-{settings[1]}.jsonl"
-        write_jsonl(path, warm)
+        warm.save(path)
         matrix = precompute_embeddings(FakeEmbedBackend("emb-1", table, dim=2), store, path)
-        outputs.append((matrix.tolist(), path.read_bytes()))
+        cache = EmbeddingCache.load(path)
+        outputs.append((matrix.tolist(), cache.fingerprints, cache.matrix.tolist(), path.read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == [table[t] for t in texts]
+    assert outputs[0][1] == [text_fingerprint("emb-1", t) for t in dict.fromkeys(texts)]
+    assert outputs[0][2] == [table[t] for t in dict.fromkeys(texts)]
 
 
 def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
@@ -884,7 +882,7 @@ def test_dense_cold_cache_embeds_each_passage_once(tmp_path):
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert all(len(c) == 3 for c in pool.map(first_query, range(4)))
     assert backend.texts == Counter([p.text for p in store] + [f"query {n}" for n in range(4)])
-    assert list(EmbeddingCache.load(path).vectors) == [text_fingerprint("emb-1", p.text) for p in store]
+    assert _cached_fingerprints(path) == [text_fingerprint("emb-1", p.text) for p in store]
 
 
 def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
@@ -904,57 +902,110 @@ def test_dense_retriever_keeps_one_copy_of_the_vectors(tmp_path):
     assert retained < 1.5 * retriever.matrix.nbytes
 
 
-NO_FINGERPRINT = "line 4: transcript entry without a fingerprint"
-BAD_VECTOR = "line 4: embed entry without a non-empty list of numbers as 'vector'"
-NOT_FINITE = "line 4: invalid JSON: -?(NaN|Infinity) is not a JSON number"  # refused as the line is decoded
-FP = text_fingerprint("emb-1", "delta")
+REBUILD = "not an embedding cache; delete it and the next command rebuilds it"
 
 
-def _with_vector(literal):
-    """A damage that appends an entry whose vector is the given JSON text."""
-    return lambda text: text + f'{{"fingerprint": "{FP}", "vector": {literal}}}\n'
+def _raw_cache(header=None, fingerprints=None, matrix=None):
+    """A damage that writes a cache file with its header fields, fingerprint
+    array or matrix replaced; ``header`` may also return the header's bytes."""
+
+    def damage(path, cache):
+        fields = {"format": "ragsel-embeddings", "version": 1, "model": cache.model, "dim": cache.matrix.shape[1]}
+        fields = fields if header is None else header(fields)
+        digests = np.frombuffer(bytes.fromhex("".join(cache.fingerprints)), dtype=np.uint8).reshape(-1, 32)
+        arrays = dict(
+            header=np.frombuffer(fields if isinstance(fields, bytes) else json.dumps(fields).encode(), dtype=np.uint8),
+            fingerprints=digests if fingerprints is None else fingerprints(digests),
+            matrix=cache.matrix if matrix is None else matrix(cache.matrix),
+        )
+        with open(path, "wb") as fh:
+            np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
+
+    return damage
+
+
+def _with_value(value):
+    def matrix(m):
+        m = m.copy()
+        m[1, 2] = value
+        return m
+
+    return matrix
 
 
 @pytest.mark.parametrize(
-    "damage,fragment",
+    "damage",
     [
-        (lambda text: text[:-10], "line 3: invalid JSON"),  # an interrupted write cuts the last line
-        (lambda text: text + json.dumps({"fingerprint": FP}) + "\n", BAD_VECTOR),
-        (lambda text: text + '{"vector": [1, 0, 0, 0]}\n', NO_FINGERPRINT),
-        (lambda text: text + json.dumps({"fingerprint": FP, "vector": None}) + "\n", BAD_VECTOR),
-        (lambda text: text + '{"fingerprint": 4, "vector": [1, 0, 0, 0]}\n', NO_FINGERPRINT),
-        (lambda text: text + json.dumps({"fingerprint": FP, "vector": ["x", 0, 0, 0]}) + "\n", BAD_VECTOR),
-        (
-            lambda text: text + json.dumps({"fingerprint": FP, "vector": [True, False, False, False]}) + "\n",
-            BAD_VECTOR,
+        # a JSONL cache of earlier versions: one {"fingerprint", "vector"} line per text
+        lambda path, cache: write_jsonl(
+            path, ({"fingerprint": fp, "vector": v} for fp, v in zip(cache.fingerprints, cache.matrix.tolist()))
         ),
-        (lambda text: text + json.dumps({"fingerprint": FP, "vector": []}) + "\n", BAD_VECTOR),
-        (_with_vector("[NaN, 0, 0, 0]"), NOT_FINITE),
-        (_with_vector("[1, Infinity, 0, 0]"), NOT_FINITE),
-        (_with_vector("[1, 0, -Infinity, 0]"), NOT_FINITE),
-        (_with_vector("[1" + "0" * 400 + ", 0, 0, 0]"), "line 4: embed entry 'vector' holds an integer beyond float"),
-        (_with_vector("[1e999, 0, 0, 0]"), "line 4: embed entry 'vector' holds NaN or Infinity"),  # reads as inf
-        (_with_vector("[1, 0, 0, -1e999]"), "line 4: embed entry 'vector' holds NaN or Infinity"),
-        (
-            # the earlier format: a {"model", "dim"} header, then entries keyed by passage id
-            lambda text: '{"model": "emb-1", "dim": 4}\n{"id": "p1", "vector": [1.0, 0.0, 0.0, 0.0]}\n',
-            "line 1: transcript entry without a fingerprint",
-        ),
+        lambda path, cache: path.write_bytes(b""),
+        lambda path, cache: path.write_bytes(path.read_bytes()[:-30]),  # an interrupted copy cuts the zip directory
+        _raw_cache(matrix=_with_value(float("nan"))),
+        _raw_cache(matrix=_with_value(float("inf"))),
+        _raw_cache(matrix=_with_value(float("-inf"))),
+        _raw_cache(fingerprints=lambda d: np.concatenate([d, d[:1]])),  # more fingerprints than rows
+        _raw_cache(fingerprints=lambda d: d[:, :31]),
+        _raw_cache(fingerprints=lambda d: d.astype(np.int64)),
+        _raw_cache(fingerprints=lambda d: None),
+        _raw_cache(matrix=lambda m: m.astype(np.float32)),
+        _raw_cache(matrix=lambda m: m.ravel()),
+        _raw_cache(matrix=lambda m: None),
+        _raw_cache(matrix=lambda m: m.astype(object)),  # np.savez pickles it
+        _raw_cache(header=lambda h: {**h, "version": 2}),
+        _raw_cache(header=lambda h: {**h, "format": "ragsel-bm25-index"}),
+        _raw_cache(header=lambda h: {**h, "dim": 3}),
+        _raw_cache(header=lambda h: {**h, "model": None}),
+        _raw_cache(header=lambda h: b"\xff not JSON"),
+        _raw_cache(header=lambda h: [h]),
+        lambda path, cache: save_index(build_index(three_doc_store()), path),
     ],
     ids=[
-        "truncated-line", "no-vector", "no-id", "null-vector", "number-id", "string-vector",
-        "bool-vector", "empty-vector", "nan", "infinity", "minus-infinity", "huge-int",
-        "float-overflow", "minus-float-overflow", "old-header",
+        "earlier-jsonl", "empty", "truncated", "nan", "infinity", "minus-infinity", "more-fingerprints-than-rows",
+        "short-digests", "int64-digests", "no-fingerprints", "float32-matrix", "flat-matrix", "no-matrix",
+        "pickled-matrix", "header-version-2", "header-format", "header-dim", "header-model", "header-not-json",
+        "header-not-an-object", "bm25-index",
     ],
 )
-def test_embedding_cache_rejects_malformed_files(tmp_path, damage, fragment):
+def test_embedding_cache_rejects_malformed_files(tmp_path, damage):
     store, backend = _dense_fixture()
     path = tmp_path / "emb.jsonl"
     precompute_embeddings(backend, store, path)
-    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
-    with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
+    damage(path, EmbeddingCache.load(path))
+    before = path.read_bytes()
+    with pytest.raises(RetrievalError, match=f"^{re.escape(str(path))}: {REBUILD}$"):
         EmbeddingCache.load(path)
-    with pytest.raises(RetrievalError, match=f"emb.jsonl: {fragment}"):
+    with pytest.raises(RetrievalError, match=f"^{re.escape(str(path))}: {REBUILD}$"):
         DenseRetriever(backend, store, path)
-    with pytest.raises(TranscriptError, match=f"emb.jsonl: {fragment}"):  # the one rule for both readers
-        TranscriptEmbedBackend(path, "emb-1")
+    assert path.read_bytes() == before  # left for the user to delete
+
+
+def test_damaged_cache_files_are_rejected_or_load_whole(tmp_path):
+    """Truncations and byte flips of a real cache: each raises RetrievalError naming the file, or
+    loads the original content (a flip in a zip field that nothing reads)."""
+    store, backend = _dense_fixture()
+    path = tmp_path / "emb.jsonl"
+    precompute_embeddings(backend, store, path)
+    blob, original = path.read_bytes(), EmbeddingCache.load(path)
+    rng = random.Random(2501)
+    outcomes = Counter()
+    for trial in range(300):
+        at = rng.randrange(len(blob))
+        if trial % 3 == 0:
+            damaged = blob[:at]
+        else:
+            damaged = blob[:at] + bytes([blob[at] ^ rng.randrange(1, 256)]) + blob[at + 1 :]
+        for read in (EmbeddingCache.load, lambda p: DenseRetriever(backend, store, p)):
+            path.write_bytes(damaged)
+            try:
+                loaded = read(path)
+            except RetrievalError as exc:
+                assert str(exc) == f"{path}: {REBUILD}", (trial, at)
+                outcomes["rejected"] += 1
+            else:  # an EmbeddingCache or a DenseRetriever: each holds the matrix
+                assert loaded.matrix.tolist() == original.matrix.tolist(), (trial, at)
+                assert getattr(loaded, "fingerprints", original.fingerprints) == original.fingerprints, (trial, at)
+                outcomes["loaded"] += 1
+    assert backend.calls == 1  # no damaged file was taken for a cache of other texts
+    assert outcomes["rejected"] >= 400, outcomes
