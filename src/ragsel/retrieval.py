@@ -30,12 +30,13 @@ import itertools
 import json
 import math
 import re
+import tokenize
 import zipfile
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,41 +77,39 @@ def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:
     return terms
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     passage_id: str
     score: float
 
 
 @dataclass
 class CandidateList:
-    """Ranked first-stage candidates for one query."""
+    """Ranked first-stage candidates for one query: ``ids[i]`` scored ``scores[i]``."""
 
     query_id: str
     retriever: str
-    items: list[Candidate] = field(default_factory=list)
+    ids: list[str]
+    scores: list[float]
 
     @property
-    def ids(self) -> list[str]:
-        return [c.passage_id for c in self.items]
+    def items(self) -> list[Candidate]:  # bench/reference.py reads this; it goes with ROADMAP F's harness edit
+        return list(map(Candidate, self.ids, self.scores))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "retriever": self.retriever,
-            "items": [{"id": c.passage_id, "score": c.score} for c in self.items],
-        }
+        items = [{"id": pid, "score": score} for pid, score in zip(self.ids, self.scores)]
+        return {"query_id": self.query_id, "retriever": self.retriever, "items": items}
 
     @classmethod
     def from_dict(cls, record: dict) -> "CandidateList":
         """Read a ``to_dict`` record by ``corpus.typed``'s rule: each item a string ``id`` and a float ``score``."""
-        items = [Candidate(i["id"], i["score"]) for i in typed(record, "items", list, dict)]
-        if any(type(c.passage_id) is not str or type(c.score) is not float for c in items):
+        items = typed(record, "items", list, dict)
+        ids, scores = [i["id"] for i in items], [i["score"] for i in items]
+        if any(type(pid) is not str for pid in ids) or any(type(score) is not float for score in scores):
             raise TypeError("field 'items' has the wrong type")
-        return cls(typed(record, "query_id", str), typed(record, "retriever", str), items)
+        return cls(typed(record, "query_id", str), typed(record, "retriever", str), ids, scores)
 
 
 @dataclass(eq=False)
@@ -142,12 +141,12 @@ def _id_ranks(ids: Sequence[str]) -> np.ndarray:
 
 def _top_k(
     ids: Sequence[str], id_rank: np.ndarray, scores: np.ndarray, rows: np.ndarray, k: int
-) -> list[Candidate]:
-    """The k best ``rows`` by descending score, ties by ascending id."""
+) -> tuple[list[str], list[float]]:
+    """The ids and scores of the k best ``rows`` by descending score, ties by ascending id."""
     if len(rows) > k:  # keep every row tied at the k-th score
         rows = rows[scores[rows] >= np.partition(scores[rows], -k)[-k]]
-    order = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]].tolist()
-    return [Candidate(ids[row], s) for row, s in zip(order, scores[order].tolist())]
+    order = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]]
+    return [ids[row] for row in order.tolist()], scores[order].tolist()
 
 
 def _csr_slices(terms: Sequence[str], offsets: np.ndarray) -> dict[str, slice]:
@@ -255,14 +254,14 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
             rows = index.rows[span]
             scores[rows] += index.impacts[span]
             touched[rows] = True
-    items = _top_k(index.ids, index.id_rank, scores, np.flatnonzero(touched), k)
-    return CandidateList(query_id=query_id, retriever="bm25", items=items)
+    return CandidateList(query_id, "bm25", *_top_k(index.ids, index.id_rank, scores, np.flatnonzero(touched), k))
 
 
-# what np.load and the checks after it raise for a damaged or foreign .npz: a damaged zip directory
-# also raises NotImplementedError, a RuntimeError ("zip file version 9.9"), RuntimeError ("is
-# encrypted") or OSError (a seek out of range)
-_NPZ_ERRORS = (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile)
+# what np.load and the checks after it raise for a damaged or foreign .npz: a damaged zip directory also
+# raises NotImplementedError, RuntimeError ("zip file version 9.9", "is encrypted") or OSError (a seek out
+# of range); a damaged member .npy header length raises tokenize.TokenError from numpy's Python 2 filter
+_NPZ_ERRORS = (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile,
+               tokenize.TokenError)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
@@ -423,5 +422,4 @@ class DenseRetriever:
         sims = np.zeros(len(self.ids))
         if qnorm != 0.0:  # einsum sums on this thread; BLAS's threaded gemv leaves a worker spinning a CPU
             np.divide(np.einsum("ij,j", self.matrix, query_vec), self.norms * qnorm, out=sims, where=self.norms > 0.0)
-        items = _top_k(self.ids, self.id_rank, sims, np.arange(len(self.ids)), k)
-        return CandidateList(query_id=query_id, retriever="dense", items=items)
+        return CandidateList(query_id, "dense", *_top_k(self.ids, self.id_rank, sims, np.arange(len(self.ids)), k))

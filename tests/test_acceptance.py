@@ -213,10 +213,12 @@ def test_lexical_scoring_oracle():
     # d3: tf=1, len=1 -> 2.2/(1 + 1.2*(0.25 + 0.375)) = 2.2/1.75
     expect_d3_c = math.log(8.0 / 3.0) * (2.2 / 1.75)
 
-    results = {c.passage_id: c.score for c in search(index, "a", 3).items}
+    result = search(index, "a", 3)
+    results = dict(zip(result.ids, result.scores))
     assert abs(results["d2"] - expect_d2_a) <= 1e-9
     assert abs(results["d1"] - expect_d1_a) <= 1e-9
-    results_c = {c.passage_id: c.score for c in search(index, "c", 3).items}
+    result = search(index, "c", 3)
+    results_c = dict(zip(result.ids, result.scores))
     assert abs(results_c["d3"] - expect_d3_c) <= 1e-9
     assert search(index, "a", 2).ids == ["d2", "d1"]
     assert search(index, "a b", 3).ids == ["d2", "d1"]

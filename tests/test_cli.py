@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -589,7 +590,7 @@ def test_cli_saved_index_must_match_the_corpus_texts(tmp_path, capsys):
     assert main(["retrieve", *config, *query]) == 0
     items = json.loads(capsys.readouterr().out)["items"]
     rebuilt = build_index(load_corpus(corpus))
-    assert items[0] == {"id": "p01_2", "score": search(rebuilt, "zebra", k=1).items[0].score}
+    assert items[0] == {"id": "p01_2", "score": search(rebuilt, "zebra", k=1).scores[0]}
 
 
 def test_cli_commands_read_the_default_index(tmp_path, capsys):
@@ -603,7 +604,12 @@ def test_cli_commands_read_the_default_index(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "where,value,cause",
-    [("version", 99, NotImplementedError), ("flags", 1, RuntimeError), ("directory-offset", 1, OSError)],
+    [
+        ("version", 99, NotImplementedError),
+        ("flags", 1, RuntimeError),
+        ("directory-offset", 1, OSError),
+        ("member-header-length", 14, tokenize.TokenError),
+    ],
 )
 def test_cli_damaged_zip_directory_is_an_input_error(tmp_path, capsys, where, value, cause):
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
@@ -612,9 +618,18 @@ def test_cli_damaged_zip_directory_is_an_input_error(tmp_path, capsys, where, va
     path = tmp_path / "fixtures" / ".." / "out" / "index.npz"  # as the config names it
     data = bytearray(path.read_bytes())
     # one byte of the zip central directory: rows.npy's entry ("version needed to
-    # extract" at +6, flag bits at +8), or the end record's directory offset (at +16..19)
+    # extract" at +6, flag bits at +8), or the end record's directory offset (at +16..19);
+    # or the low byte of rows.npy's .npy header length, 8 bytes into the member's data,
+    # which follows its name and extra field in the local header
     rows_entry = data.rindex(b"PK\x01\x02", 0, data.rindex(b"rows.npy"))
-    offset = {"version": rows_entry + 6, "flags": rows_entry + 8, "directory-offset": data.rindex(b"PK\x05\x06") + 18}
+    rows_name = data.index(b"rows.npy")
+    rows_data = rows_name + len(b"rows.npy") + int.from_bytes(data[rows_name - 2 : rows_name], "little")
+    offset = {
+        "version": rows_entry + 6,
+        "flags": rows_entry + 8,
+        "directory-offset": data.rindex(b"PK\x05\x06") + 18,
+        "member-header-length": rows_data + 8,
+    }
     data[offset[where]] = value
     path.write_bytes(data)
     with pytest.raises(RetrievalError, match="not a BM25 index file") as err:

@@ -18,7 +18,7 @@ from ragsel.distill import DistillError, load_label_queries, run_labeling
 from ragsel.files import BLOCK, appending, cut_lines, decode, iter_jsonl, replace_atomically, write_json, write_jsonl
 from ragsel.gateway import TranscriptChatBackend, TranscriptEmbedBackend, TranscriptError
 from ragsel.pipeline import PipelineError, QueryTrace, read_traces
-from ragsel.retrieval import Candidate, CandidateList
+from ragsel.retrieval import CandidateList
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -209,7 +209,7 @@ def _labeling_resume(path):
     return run_labeling(input_path, None, "m", path, path.with_name("rejects.jsonl"))
 
 
-_TRACE = QueryTrace(QuestionRecord("q1", "a?", ("a",)), CandidateList("q1", "bm25", [Candidate("p1", 1.5)]))
+_TRACE = QueryTrace(QuestionRecord("q1", "a?", ("a",)), CandidateList("q1", "bm25", ["p1"], [1.5]))
 _VECTOR = {"fingerprint": "f1", "vector": [1.0, 0.5]}
 
 # each JSONL reader, the error its module raises, and a line it accepts

@@ -31,7 +31,7 @@ from ragsel.metrics import (
     write_plot_data,
 )
 from ragsel.pipeline import QueryTrace
-from ragsel.retrieval import Candidate, CandidateList
+from ragsel.retrieval import CandidateList
 from ragsel.selection import SelectionOutcome, Strategy
 
 # Single relevant id ranked second: DCG = 1/log2(3), ideal = 1/log2(2) = 1.
@@ -257,7 +257,7 @@ def test_evidence_scores_equal_the_reference_definitions():
         texts = [store.get(pid).text for pid in selected]
         trace = QueryTrace(
             question=question("q", golds=("x",), evidence=evidence),
-            candidates=CandidateList("q", "bm25", [Candidate(pid, 1.0) for pid in ids]),
+            candidates=CandidateList("q", "bm25", ids, [1.0] * len(ids)),
             selection=outcome(range(1, len(selected) + 1)),
             selected_ids=selected,
             answer="x",
@@ -388,7 +388,7 @@ def eval_fixture():
             Passage(id="p3", doc_id="d2", text="gamma fact"),
         ]
     )
-    cands = CandidateList("q1", "bm25", [Candidate("p1", 2.0), Candidate("p2", 1.0), Candidate("p3", 0.5)])
+    cands = CandidateList("q1", "bm25", ["p1", "p2", "p3"], [2.0, 1.0, 0.5])
     q = question(
         "q1",
         text="about alpha",
@@ -439,7 +439,7 @@ def test_evaluate_traces_report():
     store, good = eval_fixture()
     no_gold = QueryTrace(
         question=question("q2", text="plain"),
-        candidates=CandidateList("q2", "bm25", [Candidate("p3", 1.0)]),
+        candidates=CandidateList("q2", "bm25", ["p3"], [1.0]),
         selection=outcome([1], fallback=True, completion_tokens=20),
         selected_ids=["p3"],
         answer="whatever",
@@ -475,7 +475,7 @@ def test_no_candidate_trace_scores_zero():
     store, good = eval_fixture()
     empty = QueryTrace(
         question=question("q4", golds=("beta",), evidence=("beta",), gold_ids=("p2",)),
-        candidates=CandidateList("q4", "bm25", []),
+        candidates=CandidateList("q4", "bm25", [], []),
         no_candidates=True,
     )
     report = evaluate_traces([good, empty], store)

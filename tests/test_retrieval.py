@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -7,19 +8,20 @@ import sys
 import threading
 import time
 import tracemalloc
+import zipfile
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ragsel import retrieval
-from ragsel.corpus import Passage, PassageStore
+from ragsel.corpus import Passage, PassageStore, load_corpus
 from ragsel.files import write_jsonl
 from ragsel.gateway import MAX_INFLIGHT, text_fingerprint
 from ragsel.retrieval import (
     AnalyzerConfig,
-    Candidate,
     CandidateList,
     DenseRetriever,
     EmbeddingCache,
@@ -89,9 +91,9 @@ def test_build_index_tf_lowercased():
     index = build_index(store)
     expected = math.log(4.0 / 3.0) * 3 * 2.2 / (3 + 1.2)
     for query in ("a", "A"):
-        [hit] = search(index, query, k=1).items
-        assert hit.passage_id == "p"
-        assert hit.score == pytest.approx(expected, abs=1e-9)
+        hit = search(index, query, k=1)
+        assert hit.ids == ["p"]
+        assert hit.scores == [pytest.approx(expected, abs=1e-9)]
 
 
 def test_build_index_empty_store_errors():
@@ -207,7 +209,8 @@ def test_build_index_transient_memory_stays_near_the_index_size():
 
 
 def scores_of(index, query):
-    return {c.passage_id: c.score for c in search(index, query, k=len(index.ids)).items}
+    result = search(index, query, k=len(index.ids))
+    return dict(zip(result.ids, result.scores))
 
 
 def test_score_matches_hand_evaluated_values():
@@ -229,8 +232,7 @@ def test_search_ranking_and_scores():
     index = build_index(three_doc_store())
     result = search(index, "a", k=2, query_id="q")
     assert result.ids == ["d2", "d1"]
-    assert result.items[0].score == pytest.approx(SCORE_D2_A, abs=1e-9)
-    assert result.items[1].score == pytest.approx(SCORE_D1_A, abs=1e-9)
+    assert result.scores == pytest.approx([SCORE_D2_A, SCORE_D1_A], abs=1e-9)
     assert result.retriever == "bm25"
     assert result.query_id == "q"
 
@@ -339,8 +341,7 @@ def test_index_save_load_roundtrip(tmp_path):
     for query in ("a", "b", "c", "a b c"):
         got = search(again, query, k=3)
         want = search(index, query, k=3)
-        assert got.ids == want.ids
-        assert [c.score for c in got.items] == [c.score for c in want.items]
+        assert (got.ids, got.scores) == (want.ids, want.scores)
 
 
 def test_index_save_writes_the_given_path(tmp_path):
@@ -446,6 +447,67 @@ def test_index_load_rejects_inconsistent_arrays(tmp_path):
             load_index(path)
 
 
+FIXTURE_CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "corpus.jsonl"
+
+
+def _with_npy_header_length(path, member, length):
+    """Set a saved member's 2-byte .npy header length, 8 bytes into the member's data, which follows
+    its 30-byte local header, name and extra field. numpy then reads a cut header and, failing to
+    parse it, retries through its Python 2 header filter, which raises tokenize.TokenError."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        start = archive.getinfo(member).header_offset
+    at = start + 30 + sum(int.from_bytes(data[i : i + 2], "little") for i in (start + 26, start + 28)) + 8
+    data[at : at + 2] = length.to_bytes(2, "little")
+    path.write_bytes(data)
+
+
+def _damaged_copies(blob, seed, trials):
+    """Seeded truncations (every third trial) and one-byte flips of a saved .npz. Every other position
+    lies within 128 bytes after a zip record's signature: a member's local header and .npy header, or
+    the directory. In a large file most other bytes are array data, which the member's CRC check guards."""
+    rng = random.Random(seed)
+    records = [m.start() for m in re.finditer(rb"PK(\x03\x04|\x01\x02|\x05\x06)", blob)]
+    for trial in range(trials):
+        at = rng.randrange(len(blob)) if trial % 2 else min(rng.choice(records) + rng.randrange(128), len(blob) - 1)
+        flipped = blob[:at] + bytes([blob[at] ^ rng.randrange(1, 256)]) + blob[at + 1 :]
+        yield trial, at, blob[:at] if trial % 3 == 0 else flipped
+
+
+@pytest.mark.parametrize("member", ["header.npy", "rows.npy", "impacts.npy", "offsets.npy"])
+def test_index_load_rejects_a_damaged_member_header(tmp_path, member):
+    path = tmp_path / "index.npz"
+    save_index(build_index(load_corpus(FIXTURE_CORPUS)), path)
+    _with_npy_header_length(path, member, 14)
+    with pytest.raises(RetrievalError, match=f"^{re.escape(str(path))}: not a BM25 index file$"):
+        load_index(path)
+
+
+def _index_content(index):
+    arrays = index.rows.tolist(), index.impacts.tolist()
+    return index.ids, index.terms, *arrays, index.k1, index.b, index.analyzer, index.digest
+
+
+def test_damaged_index_files_are_rejected_or_load_whole(tmp_path):
+    """Truncations and byte flips of the fixture corpus's index: each raises RetrievalError naming the
+    file, or loads the original content (a flip in a zip field that nothing reads)."""
+    path = tmp_path / "index.npz"
+    save_index(build_index(load_corpus(FIXTURE_CORPUS)), path)
+    blob, original = path.read_bytes(), _index_content(load_index(path))
+    outcomes = Counter()
+    for trial, at, damaged in _damaged_copies(blob, 2601, 800):
+        path.write_bytes(damaged)
+        try:
+            loaded = load_index(path)
+        except RetrievalError as exc:
+            assert str(exc) == f"{path}: not a BM25 index file", (trial, at)
+            outcomes["rejected"] += 1
+        else:
+            assert _index_content(loaded) == original, (trial, at)
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] >= 600, outcomes
+
+
 # --- exactness against the term-at-a-time loop ----------------------------
 
 
@@ -517,7 +579,7 @@ def test_search_equals_loop_reference_random(tmp_path):
             k = rng.randrange(1, len(passages) + 4)
             want = reference.search(query, k)
             got = search(index, query, k)
-            assert [(c.passage_id, c.score) for c in got.items] == want, (query, k)
+            assert list(zip(got.ids, got.scores)) == want, (query, k)
             every = reference.search(query, len(passages))
             beyond_hits += k > len(every)
             ties_at_k += k < len(every) and every[k - 1][1] == every[k][1]
@@ -525,10 +587,25 @@ def test_search_equals_loop_reference_random(tmp_path):
 
 
 def test_candidate_list_roundtrip():
-    clist = CandidateList(
-        query_id="q1", retriever="bm25", items=[Candidate("p1", 1.5), Candidate("p2", 0.5)]
+    clist = CandidateList("q1", "bm25", ["p1", "p2"], [1.5, 0.5])
+    record = clist.to_dict()
+    assert json.dumps(record) == (
+        '{"query_id": "q1", "retriever": "bm25", "items": [{"id": "p1", "score": 1.5}, {"id": "p2", "score": 0.5}]}'
     )
-    assert CandidateList.from_dict(clist.to_dict()).ids == ["p1", "p2"]
+    assert CandidateList.from_dict(record) == clist
+    for item in ({"id": 1, "score": 1.5}, {"id": "p1", "score": 1}, {"id": "p1", "score": True}, {"id": "p1"}):
+        with pytest.raises((TypeError, KeyError)):
+            CandidateList.from_dict({**record, "items": [item]})
+
+
+def test_items_pair_each_id_with_its_score(tmp_path):
+    """``items`` is what bench/reference.py compares with its brute-force search: (passage_id, score) pairs."""
+    store, backend = _dense_fixture()
+    bm25 = search(build_index(three_doc_store()), "a b c", k=3)
+    dense = DenseRetriever(backend, store, tmp_path / "emb.npz").retrieve("query", k=3)
+    for result in (bm25, dense):
+        assert len(result.ids) == 3
+        assert [(c.passage_id, c.score) for c in result.items] == list(zip(result.ids, result.scores))
 
 
 # --- dense ---------------------------------------------------------------
@@ -568,9 +645,7 @@ def test_dense_search_hand_computed_order(tmp_path):
     result = DenseRetriever(backend, store, tmp_path / "emb.jsonl").retrieve("query", k=3, query_id="q")
     # cos(p1)=1, cos(p3)=1/sqrt(2), cos(p2)=0 by hand.
     assert result.ids == ["p1", "p3", "p2"]
-    assert result.items[0].score == pytest.approx(1.0, abs=1e-12)
-    assert result.items[1].score == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-    assert result.items[2].score == pytest.approx(0.0, abs=1e-12)
+    assert result.scores == pytest.approx([1.0, 1.0 / math.sqrt(2.0), 0.0], abs=1e-12)
     assert result.retriever == "dense"
 
 
@@ -595,8 +670,9 @@ def test_dense_zero_norm_vector_scores_zero(tmp_path):
     )
     table = {"zero": [0.0, 0.0], "unit": [1.0, 0.0], "query": [1.0, 0.0], "null": [0.0, 0.0]}
     retriever = DenseRetriever(FakeEmbedBackend("emb-1", table, dim=2), store, tmp_path / "emb.jsonl")
-    assert [(c.passage_id, c.score) for c in retriever.retrieve("query", k=2).items] == [("p2", 1.0), ("p1", 0.0)]
-    assert [(c.passage_id, c.score) for c in retriever.retrieve("null", k=2).items] == [("p1", 0.0), ("p2", 0.0)]
+    for query, ids, scores in [("query", ["p2", "p1"], [1.0, 0.0]), ("null", ["p1", "p2"], [0.0, 0.0])]:
+        result = retriever.retrieve(query, k=2)
+        assert (result.ids, result.scores) == (ids, scores)
 
 
 def test_dense_empty_store_errors(tmp_path):
@@ -643,8 +719,8 @@ def test_dense_equals_loop_reference(tmp_path):
             every = loop_dense(vectors, query, n)
             for k in (1, max(1, n // 2), n + 3):
                 want = [(pid, score.hex()) for pid, score in every[:k]]
-                got = retriever.retrieve(f"query{q}", k).items
-                assert [(c.passage_id, c.score.hex()) for c in got] == want, (trial, q, k)
+                got = retriever.retrieve(f"query{q}", k)
+                assert list(zip(got.ids, map(float.hex, got.scores))) == want, (trial, q, k)
                 ties_at_k += k < n and every[k - 1][1] == every[k][1]
     assert ties_at_k >= 50 and zero_vectors >= 20
 
@@ -684,9 +760,9 @@ def test_dense_non_integer_scores_match_an_exact_cosine(tmp_path):
             f"p{i}": math.fsum(x * y for x, y in zip(vec, query)) / (math.sqrt(math.fsum(x * x for x in vec)) * qnorm)
             for i, vec in enumerate(vectors)
         }
-        got = retriever.retrieve(f"query {n}", k=20).items
-        assert [c.passage_id for c in got] == sorted(exact, key=lambda pid: -exact[pid])[:20]
-        assert all(math.isclose(c.score, exact[c.passage_id], rel_tol=1e-12) for c in got)
+        got = retriever.retrieve(f"query {n}", k=20)
+        assert got.ids == sorted(exact, key=lambda pid: -exact[pid])[:20]
+        assert all(math.isclose(score, exact[pid], rel_tol=1e-12) for pid, score in zip(got.ids, got.scores))
 
 
 def _cached_fingerprints(path):
@@ -981,21 +1057,38 @@ def test_embedding_cache_rejects_malformed_files(tmp_path, damage):
     assert path.read_bytes() == before  # left for the user to delete
 
 
-def test_damaged_cache_files_are_rejected_or_load_whole(tmp_path):
+def _dense_2000x64():
+    """2000 passages with 64-dimension vectors: cache members large enough that numpy parses a
+    member's .npy header before zip's CRC check reads the member's end."""
+    rng = np.random.default_rng(26)
+    store = PassageStore([Passage(id=f"p{i}", doc_id="d", text=f"passage {i}") for i in range(2000)])
+    return store, FakeEmbedBackend("emb-1", {p.text: rng.standard_normal(64).tolist() for p in store}, dim=64)
+
+
+@pytest.mark.parametrize("member", ["fingerprints.npy", "matrix.npy"])
+def test_embedding_cache_rejects_a_damaged_member_header(tmp_path, member):
+    store, backend = _dense_2000x64()
+    path = tmp_path / "emb.npz"
+    precompute_embeddings(backend, store, path)
+    _with_npy_header_length(path, member, 14)
+    before = path.read_bytes()
+    with pytest.raises(RetrievalError, match=f"^{re.escape(str(path))}: {REBUILD}$"):
+        EmbeddingCache.load(path)
+    with pytest.raises(RetrievalError, match=f"^{re.escape(str(path))}: {REBUILD}$"):
+        DenseRetriever(backend, store, path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("dense_input,trials", [(_dense_fixture, 300), (_dense_2000x64, 150)], ids=["3x4", "2000x64"])
+def test_damaged_cache_files_are_rejected_or_load_whole(tmp_path, dense_input, trials):
     """Truncations and byte flips of a real cache: each raises RetrievalError naming the file, or
     loads the original content (a flip in a zip field that nothing reads)."""
-    store, backend = _dense_fixture()
+    store, backend = dense_input()
     path = tmp_path / "emb.jsonl"
     precompute_embeddings(backend, store, path)
-    blob, original = path.read_bytes(), EmbeddingCache.load(path)
-    rng = random.Random(2501)
+    blob, original, calls = path.read_bytes(), EmbeddingCache.load(path), backend.calls
     outcomes = Counter()
-    for trial in range(300):
-        at = rng.randrange(len(blob))
-        if trial % 3 == 0:
-            damaged = blob[:at]
-        else:
-            damaged = blob[:at] + bytes([blob[at] ^ rng.randrange(1, 256)]) + blob[at + 1 :]
+    for trial, at, damaged in _damaged_copies(blob, 2501, trials):
         for read in (EmbeddingCache.load, lambda p: DenseRetriever(backend, store, p)):
             path.write_bytes(damaged)
             try:
@@ -1007,5 +1100,5 @@ def test_damaged_cache_files_are_rejected_or_load_whole(tmp_path):
                 assert loaded.matrix.tolist() == original.matrix.tolist(), (trial, at)
                 assert getattr(loaded, "fingerprints", original.fingerprints) == original.fingerprints, (trial, at)
                 outcomes["loaded"] += 1
-    assert backend.calls == 1  # no damaged file was taken for a cache of other texts
-    assert outcomes["rejected"] >= 400, outcomes
+    assert backend.calls == calls  # no damaged file was taken for a cache of other texts
+    assert outcomes["rejected"] >= trials * 4 // 3, outcomes
