@@ -195,7 +195,7 @@ def parse_set_value(raw: str):
         return raw
     try:
         return decode(raw)
-    except ValueError as exc:  # an escaped unpaired surrogate
+    except ValueError as exc:  # an integer beyond float range, or an escaped unpaired surrogate
         raise ConfigError("--set", f"{raw!r}: {exc}") from None
 
 

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,7 +20,15 @@ def _not_a_number(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+def _int_in_float_range(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("an integer beyond float range")
+    return value
+
+
+# json takes NaN, Infinity and integers of any size; RFC 8259 section 6 has none of them
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number, parse_int=_int_in_float_range)
 # a \u escape of a surrogate outside a high-low pair, or any surrogate escape after a backslash,
 # whose pairing shows only once the run of backslashes is decoded; decode checks a match in full
 _LONE_SURROGATE_ESCAPE_RE = re.compile(
@@ -28,12 +37,13 @@ _LONE_SURROGATE_ESCAPE_RE = re.compile(
 )
 
 
-def decode(text: str, decoder: json.JSONDecoder = _DECODER):
+def decode(text: str):
     """``text``, as strict UTF-8 decoding leaves it, as one JSON value. ValueError for the
-    ``NaN`` and ``Infinity`` that json takes but RFC 8259 section 6 has not (unless
-    ``decoder`` takes them), and for an escaped unpaired surrogate (section 8.2), which
-    would make a string no UTF-8 writer can write back or hash."""
-    value = decoder.decode(text)
+    ``NaN`` and ``Infinity`` that json takes but RFC 8259 section 6 has not, for an integer
+    beyond float range, and for an escaped unpaired surrogate (section 8.2), which would
+    make a string no UTF-8 writer can write back or hash. A float literal that overflows
+    (``1e999``) reads as infinity; a reader that needs a finite float checks for it."""
+    value = _DECODER.decode(text)
     # a surrogate gets into a str only by a \u escape: strict UTF-8 decoding refuses encoded ones
     if "\\" in text and _LONE_SURROGATE_ESCAPE_RE.search(text):
         try:

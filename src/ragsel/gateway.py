@@ -14,7 +14,6 @@ import json
 import os
 import re
 import ssl
-import sys
 import threading
 import time
 import urllib.error
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import typed
-from .files import _not_a_number, appending, decode, iter_jsonl
+from .files import appending, decode, iter_jsonl
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 # each byte as _TOKEN_RE classes it: a word byte, a space byte (also \x1c-\x1f, which
@@ -143,17 +142,6 @@ def text_fingerprint(model: str, text: str) -> str:
     return request_fingerprint(model, [{"role": "user", "content": text}])
 
 
-def _int_in_float_range(text: str) -> int:
-    value = int(text)
-    if abs(value) > sys.float_info.max:
-        raise ValueError("an integer beyond float range")
-    return value
-
-
-# json takes integers of any size; RFC 8259 section 6 allows for none beyond float range
-_HTTP_DECODER = json.JSONDecoder(parse_constant=_not_a_number, parse_int=_int_in_float_range)
-
-
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
     """Hands a 3xx reply back as an HTTPError instead of following it."""
 
@@ -235,7 +223,7 @@ class HttpClient:
             raise ApiError(status, body.decode("utf-8", "replace"))
         try:
             # RFC 8259 section 8.1 lets a reader skip a byte order mark
-            return read(decode(body.decode("utf-8-sig"), _HTTP_DECODER))
+            return read(decode(body.decode("utf-8-sig")))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             text = body.decode("utf-8", "replace")[:200]
             raise ApiError(200, f"malformed response body ({exc!r}): {text}") from None
@@ -334,13 +322,10 @@ def check_embed_entry(record: dict) -> np.ndarray:
 
 
 def _float_array(numbers: list, what: str) -> np.ndarray:
-    """``numbers`` (a list of numbers, or of equal-length lists of them) as a float64
-    array; ValueError naming ``what`` unless every number is a finite float."""
-    # decoding refuses NaN and Infinity but reads 1e999 as inf; an integer beyond float range is no float either
-    try:
-        array = np.array(numbers, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{what} holds an integer beyond float range") from None
+    """``numbers`` (a list of decoded JSON numbers, or of equal-length lists of them) as a
+    float64 array; ValueError naming ``what`` unless every number is finite. ``files.decode``
+    refuses NaN, Infinity and integers beyond float range, but reads 1e999 as inf."""
+    array = np.array(numbers, dtype=np.float64)
     if not np.isfinite(array).all():
         raise ValueError(f"{what} holds NaN or Infinity")
     return array

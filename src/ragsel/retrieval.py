@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import PassageStore, typed
-from .files import replace_atomically
+from .files import decode, replace_atomically
 from .gateway import text_fingerprint
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -205,8 +205,8 @@ def build_index(
 ) -> Bm25Index:
     if len(store) == 0:
         raise RetrievalError("cannot build an index over an empty corpus")
-    if k1 <= 0:
-        raise RetrievalError(f"k1 must be > 0, got {k1}")
+    if not 0 < k1 < math.inf:
+        raise RetrievalError(f"k1 must be finite and > 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise RetrievalError(f"b must be in [0, 1], got {b}")
     vocab: dict[str, int] = defaultdict(itertools.count().__next__)  # term -> id, first seen first
@@ -264,15 +264,19 @@ _NPZ_ERRORS = (ValueError, KeyError, TypeError, AttributeError, EOFError, Runtim
                tokenize.TokenError)
 
 
+def _header_bytes(header: dict) -> np.ndarray:
+    # nothing files.decode refuses; unescaped non-ASCII also decodes faster than \u escapes
+    return np.frombuffer(json.dumps(header, allow_nan=False, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
+
+
 def save_index(index: Bm25Index, path: str | Path) -> None:
     """Write one uncompressed .npz: the CSR arrays plus a JSON header."""
     header = dict(format="ragsel-bm25-index", version=3, k1=index.k1, b=index.b, analyzer=index.analyzer.to_dict(),
                   digest=index.digest, ids=index.ids, terms=list(index.terms))
-    header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     offsets = np.array([0] + [span.stop for span in index.terms.values()])
     # np.savez appends ".npz" to a path name; a file handle keeps the path as given
     with replace_atomically(path, "wb") as fh:
-        np.savez(fh, header=header_bytes, rows=index.rows, impacts=index.impacts, offsets=offsets)
+        np.savez(fh, header=_header_bytes(header), rows=index.rows, impacts=index.impacts, offsets=offsets)
 
 
 def load_index(path: str | Path) -> Bm25Index:
@@ -280,7 +284,7 @@ def load_index(path: str | Path) -> Bm25Index:
     fh = open(path, "rb")  # a file that cannot be opened raises open's OSError, which names it
     try:
         with fh, np.load(fh, allow_pickle=False) as npz:
-            header = json.loads(npz["header"].tobytes())
+            header = decode(npz["header"].tobytes().decode("utf-8"))
             rows, impacts, offsets = npz["rows"], npz["impacts"], npz["offsets"]
         ids, terms = header["ids"], header["terms"]
         if not (
@@ -324,10 +328,9 @@ class EmbeddingCache:
 
     def save(self, path: str | Path) -> None:
         header = dict(format="ragsel-embeddings", version=1, model=self.model, dim=self.matrix.shape[1])
-        header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
         digests = np.frombuffer(bytes.fromhex("".join(self.fingerprints)), dtype=np.uint8).reshape(-1, 32)
         with replace_atomically(path, "wb") as fh:  # a handle, as in save_index: the name stays as given
-            np.savez(fh, header=header_bytes, fingerprints=digests, matrix=self.matrix)
+            np.savez(fh, header=_header_bytes(header), fingerprints=digests, matrix=self.matrix)
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingCache":
@@ -335,7 +338,7 @@ class EmbeddingCache:
         fh = open(path, "rb")  # as in load_index: a file that cannot be opened raises open's OSError
         try:
             with fh, np.load(fh, allow_pickle=False) as npz:
-                header = json.loads(npz["header"].tobytes())
+                header = decode(npz["header"].tobytes().decode("utf-8"))
                 digests, matrix = npz["fingerprints"], npz["matrix"]
             if not (
                 (header["format"], header["version"]) == ("ragsel-embeddings", 1)

@@ -145,6 +145,9 @@ def test_parse_set_value():
     assert parse_set_value("NaN") == "NaN"
     assert parse_set_value("-Infinity") == "-Infinity"
     assert parse_set_value("[NaN]") == "[NaN]"
+    # an integer beyond float range is JSON that files.decode refuses
+    with pytest.raises(ConfigError, match="--set"):
+        parse_set_value("1" * 401)
 
 
 def test_set_value_holding_an_unpaired_surrogate_is_a_config_error(capsys):
@@ -721,7 +724,16 @@ def test_cli_jsonl_embedding_cache_of_earlier_versions_is_an_input_error(tmp_pat
     assert cache_path.read_bytes() == before
 
 
-@pytest.mark.parametrize("damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n"])
+def _huge_generation_count(blob):
+    first, second, *rest = blob.splitlines(True)
+    trace = json.loads(second)
+    trace["generation_usage"]["completion_tokens"] = 10**400
+    return b"".join([first, json.dumps(trace).encode() + b"\n", *rest])
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n", _huge_generation_count]
+)
 def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0
@@ -807,8 +819,10 @@ def _retype(key, value, entry=None):
         _retype("counts", [1]),
         _retype("aggregate", {"mean": "0.5", "count": 2}, "em"),
         _retype("efficiency", "12", "mean_selected_count"),
+        _retype("aggregate", {"mean": 10**400, "count": 2}, "em"),
     ],
-    ids=["truncated", "no-per-query", "aggregate-list", "counts-list", "string-mean", "string-efficiency"],
+    ids=["truncated", "no-per-query", "aggregate-list", "counts-list", "string-mean", "string-efficiency",
+         "huge-mean"],
 )
 def test_cli_report_malformed_report_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)

@@ -169,9 +169,10 @@ def test_transcript_missing_file_errors(tmp_path):
         (lambda e: e.update(completion_tokens=2.0), "chat entry token counts are not non-negative integers"),
         (lambda e: e.update(completion_tokens=True), "chat entry token counts are not non-negative integers"),
         (lambda e: e.update(prompt_tokens=1e2), "chat entry token counts are not non-negative integers"),
+        (lambda e: e.update(prompt_tokens=10**400), "invalid JSON: an integer beyond float range"),
     ],
     ids=["no-response", "list-response", "no-count", "word-count", "null-count", "negative-count",
-         "digit-string-count", "fraction-count", "whole-float-count", "bool-count", "exponent-count"],
+         "digit-string-count", "fraction-count", "whole-float-count", "bool-count", "exponent-count", "huge-count"],
 )
 def test_chat_transcript_rejects_malformed_entries_on_load(tmp_path, damage, fragment):
     path = tmp_path / "t.jsonl"
@@ -204,13 +205,13 @@ NOT_A_FLOAT = "1" + "0" * 400  # a JSON integer beyond float range
     "number,fragment",
     [("NaN", "invalid JSON: NaN is not a JSON number"), ("Infinity", "invalid JSON: Infinity is not a JSON number"),
      ("-Infinity", "invalid JSON: -Infinity is not a JSON number"),
-     (NOT_A_FLOAT, "embed entry 'vector' holds an integer beyond float range"),
+     (NOT_A_FLOAT, "invalid JSON: an integer beyond float range"),
      ("1e999", "embed entry 'vector' holds NaN or Infinity"), ("-1e999", "embed entry 'vector' holds NaN or Infinity")],
     ids=["nan", "infinity", "minus-infinity", "huge-int", "float-overflow", "minus-float-overflow"],
 )
 def test_embed_transcript_rejects_numbers_that_are_not_finite_floats(tmp_path, number, fragment):
-    # json.loads takes all six; none is a JSON number a vector can hold (RFC 8259 section 6). The
-    # decoder refuses the literals on any line; only a vector must hold finite floats (1e999 reads as inf)
+    # json.loads takes all six; none is a JSON number a vector can hold (RFC 8259 section 6). The decoder
+    # refuses the literals and the integer on any line; only a vector must hold finite floats (1e999 reads as inf)
     path = tmp_path / "emb.jsonl"
     good = json.dumps({"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 0.5]})
     bad = f'{{"fingerprint": "{text_fingerprint("emb", "b")}", "vector": [0.5, {number}]}}'

@@ -103,8 +103,9 @@ def test_build_index_empty_store_errors():
 
 def test_build_index_validates_parameters():
     store = three_doc_store()
-    with pytest.raises(RetrievalError, match="k1"):
-        build_index(store, k1=0.0)
+    for k1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(RetrievalError, match="k1"):
+            build_index(store, k1=k1)
     with pytest.raises(RetrievalError, match="b must"):
         build_index(store, b=1.5)
 
@@ -344,6 +345,19 @@ def test_index_save_load_roundtrip(tmp_path):
         assert (got.ids, got.scores) == (want.ids, want.scores)
 
 
+def test_index_header_is_utf8_and_an_escaped_header_still_loads(tmp_path):
+    store = PassageStore([Passage("café", "d", "crème brûlée"), Passage("b", "d", "plain text")])
+    path = tmp_path / "index.npz"
+    save_index(build_index(store), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    assert "café".encode("utf-8") in arrays["header"].tobytes()
+    # earlier versions wrote the header with \u escapes
+    _write_with(np.savez, path, **{**arrays, "header": _header(**json.loads(arrays["header"].tobytes()))})
+    again = load_index(path)
+    assert again.ids == ["café", "b"] and "crème" in again.terms
+
+
 def test_index_save_writes_the_given_path(tmp_path):
     index = build_index(three_doc_store())
     for name in ("index.json", "index"):
@@ -376,6 +390,15 @@ def _header(**fields):
     return np.frombuffer(json.dumps(fields).encode("utf-8"), dtype=np.uint8)
 
 
+def _saved_with(path, **fields):
+    """A save_index file whose header has ``fields`` written over it."""
+    save_index(build_index(three_doc_store()), path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    header = json.loads(arrays["header"].tobytes())
+    _write_with(np.savez, path, **{**arrays, "header": _header(**{**header, **fields})})
+
+
 @pytest.mark.parametrize(
     "write",
     [
@@ -387,8 +410,9 @@ def _header(**fields):
         lambda path: _write_with(np.savez, path, header=np.arange(3, dtype=np.uint8)),
         lambda path: _write_with(np.savez, path, header=_header(format="ragsel-bm25-index", version=1)),
         lambda path: _write_with(np.savez, path, header=np.array([{"format": "x"}], dtype=object)),
+        lambda path: _saved_with(path, k1=float("nan")),
     ],
-    ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled"],
+    ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled", "nan-k1"],
 )
 def test_index_load_rejects_foreign_files(tmp_path, write):
     path = tmp_path / "index.npz"
