@@ -31,7 +31,11 @@ kept a CPU busy while the caller slept. Last come the embedding cache that
 this cold ``DenseRetriever`` wrote: ``embedding_cache_save_s`` times one
 ``EmbeddingCache.save`` of it, ``embedding_cache_load_s`` a warm
 ``DenseRetriever`` construction over it (fingerprints, cache read, norms),
-and ``embedding_cache_bytes`` is its size.
+and ``embedding_cache_bytes`` is its size. Its rows are then written as an
+embed transcript, as record mode writes one: ``embed_transcript_load_s``
+times one ``TranscriptEmbedBackend`` load of it, ``embed_transcript_held_mib``
+is what a second, separate load holds (``tracemalloc``'s current size once
+it returns), and ``embed_transcript_bytes`` is the file's size.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -64,8 +69,8 @@ def measure(inputs: Path) -> dict:
     """The timings of one cold set-up over the inputs in ``inputs``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from ragsel.corpus import CorpusError, load_corpus, load_questions
-    from ragsel.files import iter_jsonl
-    from ragsel.gateway import estimate_tokens
+    from ragsel.files import iter_jsonl, write_jsonl
+    from ragsel.gateway import TranscriptEmbedBackend, estimate_tokens
     from ragsel.retrieval import DenseRetriever, EmbeddingCache, build_index, load_index, save_index, search
     from ragsel.selection import Strategy, render_prompt
     from scripted import embed_text
@@ -119,6 +124,17 @@ def measure(inputs: Path) -> dict:
     del cache
     timed("embedding_cache_load_s", lambda: DenseRetriever(backend, store, cache_path))
     record["embedding_cache_bytes"] = cache_path.stat().st_size
+    cache, transcript = EmbeddingCache.load(cache_path), inputs / "embed_transcript.jsonl"
+    rows = zip(cache.fingerprints, cache.matrix)
+    write_jsonl(transcript, ({"fingerprint": fp, "vector": v.tolist()} for fp, v in rows))
+    del cache
+    timed("embed_transcript_load_s", lambda: TranscriptEmbedBackend(transcript, "embed"))
+    tracemalloc.start()
+    replay = TranscriptEmbedBackend(transcript, "embed")
+    record["embed_transcript_held_mib"] = round(tracemalloc.get_traced_memory()[0] / 2**20, 1)
+    tracemalloc.stop()
+    del replay
+    record["embed_transcript_bytes"] = transcript.stat().st_size
     return record
 
 

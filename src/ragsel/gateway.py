@@ -274,7 +274,7 @@ class HttpEmbedBackend(HttpClient):
         super().__init__(endpoint, **settings)
         self.model = model
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return []
 
@@ -293,17 +293,9 @@ class HttpEmbedBackend(HttpClient):
             dims = {len(v) for v in vectors}
             if len(dims) > 1:
                 raise ValueError(f"embeddings of inconsistent dimensions {sorted(dims)}")
-            _float_array(vectors, "an embedding")
-            return vectors
+            return _float_array(vectors, "an embedding")
 
         return self.post("embeddings", {"model": self.model, "input": list(texts)}, read)
-
-
-def entry_fingerprint(record: dict) -> str:
-    """A transcript-format entry's 'fingerprint'; ValueError unless it is a string."""
-    if not isinstance(record.get("fingerprint"), str):
-        raise ValueError("transcript entry without a fingerprint")
-    return record["fingerprint"]
 
 
 def _is_number_list(value) -> bool:
@@ -313,8 +305,8 @@ def _is_number_list(value) -> bool:
 
 
 def check_embed_entry(record: dict) -> np.ndarray:
-    """The entry's 'vector' as a float64 array; ValueError unless it is a
-    non-empty list of finite numbers."""
+    """The entry's 'vector' as a read-only float64 array; ValueError unless it
+    is a non-empty list of finite numbers."""
     vector = record.get("vector")
     if not _is_number_list(vector):
         raise ValueError("embed entry without a non-empty list of numbers as 'vector'")
@@ -323,22 +315,24 @@ def check_embed_entry(record: dict) -> np.ndarray:
 
 def _float_array(numbers: list, what: str) -> np.ndarray:
     """``numbers`` (a list of decoded JSON numbers, or of equal-length lists of them) as a
-    float64 array; ValueError naming ``what`` unless every number is finite. ``files.decode``
+    read-only float64 array; ValueError naming ``what`` unless every number is finite. ``files.decode``
     refuses NaN, Infinity and integers beyond float range, but reads 1e999 as inf."""
     array = np.array(numbers, dtype=np.float64)
     if not np.isfinite(array).all():
         raise ValueError(f"{what} holds NaN or Infinity")
+    array.setflags(write=False)  # a transcript replays the array itself: a write must not change later replays
     return array
 
 
 class TranscriptStore:
-    """Transcript entries keyed by request fingerprint.
+    """Transcript entries keyed by request fingerprint. Each is checked once, when it is loaded
+    or recorded, and held as the value ``_check_entry`` built; a replay returns that value.
 
     A lookup miss raises unless a live backend was attached for record
     mode, in which case the live responses are appended to the transcript
     and returned; a response the loader would reject raises ApiError and
     appends nothing. A fingerprint is fetched once: lookups that miss it while
-    its fetch is in flight wait for that fetch's entry or exception.
+    its fetch is in flight wait for that fetch's value or exception.
     """
 
     def __init__(self, path: str | Path, record_from=None):
@@ -353,23 +347,23 @@ class TranscriptStore:
             raise FileNotFoundError(f"transcript file not found: {self.path}")
         self._entries = dict(entry for _, entry in iter_jsonl(self.path, TranscriptError, self._read_entry))
 
-    def _read_entry(self, record: dict) -> tuple[str, dict]:
-        fingerprint = entry_fingerprint(record)
-        self._check_entry(record)
-        return fingerprint, record
+    def _read_entry(self, record: dict) -> tuple:
+        if not isinstance(record.get("fingerprint"), str):
+            raise ValueError("transcript entry without a fingerprint")
+        return record["fingerprint"], self._check_entry(record)
 
-    def _check_entry(self, record: dict) -> None:
-        """Raise ValueError unless ``record`` holds what a replay reads from it."""
+    def _check_entry(self, record: dict):
+        """The value a replay of ``record`` returns; ValueError unless ``record`` holds it."""
         raise NotImplementedError
 
-    def lookup(self, fingerprints: list[str], fetch) -> list[dict]:
-        """The entry of each fingerprint, in order. In record mode the
+    def lookup(self, fingerprints: list[str], fetch) -> list:
+        """The replay value of each fingerprint, in order. In record mode the
         misses' positions go to ``fetch``, which asks ``record_from`` and
         returns one new entry body per position."""
-        entries = [self._entries.get(fp) for fp in fingerprints]
-        missing = [i for i, entry in enumerate(entries) if entry is None]
+        values = [self._entries.get(fp) for fp in fingerprints]
+        missing = [i for i, value in enumerate(values) if value is None]
         if not missing:
-            return entries
+            return values
         if self.record_from is None:
             raise TranscriptMissError(fingerprints[missing[0]])
         mine, waits = [], []
@@ -377,7 +371,7 @@ class TranscriptStore:
             for i in missing:
                 fp = fingerprints[i]
                 if fp in self._entries:
-                    entries[i] = self._entries[fp]
+                    values[i] = self._entries[fp]
                     continue
                 if fp not in self._inflight:
                     self._inflight[fp] = Future()
@@ -386,16 +380,15 @@ class TranscriptStore:
         if mine:
             try:
                 fresh = [{"fingerprint": fingerprints[i], **body} for i, body in zip(mine, fetch(mine), strict=True)]
-                for entry in fresh:
-                    try:
-                        self._check_entry(entry)
-                    except ValueError as exc:
-                        raise ApiError(200, f"malformed response body ({exc!r})") from None
+                try:
+                    checked = [self._check_entry(entry) for entry in fresh]
+                except ValueError as exc:
+                    raise ApiError(200, f"malformed response body ({exc!r})") from None
                 with self._lock, appending(self.path) as append:
-                    for i, entry in zip(mine, fresh):
-                        self._entries[fingerprints[i]] = entry
+                    for i, entry, value in zip(mine, fresh, checked):
+                        self._entries[fingerprints[i]] = value
                         append(entry)
-                        self._inflight.pop(fingerprints[i]).set_result(entry)
+                        self._inflight.pop(fingerprints[i]).set_result(value)
             except BaseException as exc:
                 with self._lock:
                     for i in mine:
@@ -404,8 +397,8 @@ class TranscriptStore:
                             future.set_exception(exc)
                 raise
         for i, future in waits:
-            entries[i] = future.result()
-        return entries
+            values[i] = future.result()
+        return values
 
 
 class TranscriptChatBackend(TranscriptStore):
@@ -417,11 +410,11 @@ class TranscriptChatBackend(TranscriptStore):
             info["record_from"] = self.record_from.describe()
         return info
 
-    def _check_entry(self, record: dict) -> None:
+    def _check_entry(self, record: dict) -> tuple[str, Usage]:
         if not isinstance(record.get("response"), str):
             raise ValueError("chat entry without a string 'response'")
         try:
-            Usage.from_dict(record)
+            return record["response"], Usage.from_dict(record)
         except (KeyError, TypeError, ValueError):
             raise ValueError("chat entry token counts are not non-negative integers") from None
 
@@ -430,8 +423,8 @@ class TranscriptChatBackend(TranscriptStore):
             text, usage = self.record_from.chat(request)
             return [{"response": text, **usage.to_dict()}]
 
-        (entry,) = self.lookup([request_fingerprint(request.model, request.messages)], fetch)
-        return entry["response"], Usage.from_dict(entry)
+        (reply,) = self.lookup([request_fingerprint(request.model, request.messages)], fetch)
+        return reply
 
 
 class TranscriptEmbedBackend(TranscriptStore):
@@ -443,12 +436,11 @@ class TranscriptEmbedBackend(TranscriptStore):
 
     _check_entry = staticmethod(check_embed_entry)
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             return []
 
         def fetch(missing):
-            return [{"vector": v} for v in self.record_from.embed([texts[i] for i in missing])]
+            return [{"vector": v.tolist()} for v in self.record_from.embed([texts[i] for i in missing])]
 
-        entries = self.lookup([text_fingerprint(self.model, t) for t in texts], fetch)
-        return [entry["vector"] for entry in entries]
+        return self.lookup([text_fingerprint(self.model, t) for t in texts], fetch)

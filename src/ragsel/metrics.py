@@ -243,8 +243,8 @@ class MetricReport:
                     typed(record, name, dict)
                 entries = record["aggregate"].values()
                 means = [record["fallback_rate"], *record["efficiency"].values(), *(e["mean"] for e in entries)]
-                if any(type(m) not in (int, float, type(None)) for m in means):
-                    raise TypeError("a mean or rate is not a number")
+                if not all(m is None or type(m) in (int, float) and math.isfinite(m) for m in means):
+                    raise ValueError("a mean or rate is not a finite number")
                 if any(type(e["count"]) is not int for e in entries):
                     raise TypeError("a count is not an integer")
                 return cls(**{f.name: record[f.name] for f in fields(cls)})

@@ -109,6 +109,8 @@ class CandidateList:
         ids, scores = [i["id"] for i in items], [i["score"] for i in items]
         if any(type(pid) is not str for pid in ids) or any(type(score) is not float for score in scores):
             raise TypeError("field 'items' has the wrong type")
+        if not all(map(math.isfinite, scores)):  # files.decode reads 1e999 as inf
+            raise ValueError("a candidate score is not finite")
         return cls(typed(record, "query_id", str), typed(record, "retriever", str), ids, scores)
 
 

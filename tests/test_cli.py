@@ -731,8 +731,16 @@ def _huge_generation_count(blob):
     return b"".join([first, json.dumps(trace).encode() + b"\n", *rest])
 
 
+def _overflowing_score(blob):
+    first, second, *rest = blob.splitlines(True)
+    trace = json.loads(second)
+    trace["candidates"]["items"][0]["score"] = "1e999"  # a float literal that reads as infinity
+    return b"".join([first, json.dumps(trace).replace('"1e999"', "1e999").encode() + b"\n", *rest])
+
+
 @pytest.mark.parametrize(
-    "damage", [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n", _huge_generation_count]
+    "damage",
+    [lambda blob: blob[:-40], lambda blob: blob.splitlines(True)[0] + b"{}\n", _huge_generation_count, _overflowing_score],
 )
 def test_cli_eval_malformed_traces_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)
@@ -820,9 +828,10 @@ def _retype(key, value, entry=None):
         _retype("aggregate", {"mean": "0.5", "count": 2}, "em"),
         _retype("efficiency", "12", "mean_selected_count"),
         _retype("aggregate", {"mean": 10**400, "count": 2}, "em"),
+        lambda blob: _retype("aggregate", {"mean": "1e999", "count": 2}, "em")(blob).replace(b'"1e999"', b"1e999"),
     ],
     ids=["truncated", "no-per-query", "aggregate-list", "counts-list", "string-mean", "string-efficiency",
-         "huge-mean"],
+         "huge-mean", "overflowing-mean"],
 )
 def test_cli_report_malformed_report_is_an_input_error(tmp_path, capsys, damage):
     config_path = build_workspace(tmp_path)

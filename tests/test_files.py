@@ -279,6 +279,24 @@ def _written_back(loaded) -> bytes:
     return json.dumps(loaded, ensure_ascii=False, allow_nan=False, default=_plain).encode("utf-8")
 
 
+def _replay_vectors(path):
+    """The vectors an embed transcript replays, as lists; each must be a read-only, finite float64 1-D array."""
+    vectors = list(TranscriptEmbedBackend(path, "m")._entries.values())
+    for v in vectors:
+        assert v.dtype == np.float64 and v.ndim == 1 and not v.flags.writeable and np.isfinite(v).all()
+    return [v.tolist() for v in vectors]
+
+
+_GAUSS = random.Random(28).gauss
+# no fixture holds an embed transcript, so one of 40 entries of 8 components is made here
+GENERATED = {
+    "embed_transcript.jsonl": b"".join(
+        json.dumps({"fingerprint": f"{i:064x}", "vector": [_GAUSS(0, 1) for _ in range(8)]}).encode() + b"\n"
+        for i in range(40)
+    )
+}
+
+
 @pytest.mark.parametrize(
     "name,read,error",
     [
@@ -287,11 +305,12 @@ def _written_back(loaded) -> bytes:
         ("chat_transcript.jsonl", TranscriptChatBackend, TranscriptError),
         ("distill_input.jsonl", load_label_queries, DistillError),
         ("distill_transcript.jsonl", TranscriptChatBackend, TranscriptError),
+        ("embed_transcript.jsonl", _replay_vectors, TranscriptError),
     ],
 )
 def test_mutated_fixtures_are_rejected_by_the_module_error_or_written_back_whole(tmp_path, name, read, error):
     rng = random.Random(f"{name}:22")
-    blob = (FIXTURES / name).read_bytes()
+    blob = GENERATED[name] if name in GENERATED else (FIXTURES / name).read_bytes()
     path = tmp_path / name
     for _ in range(300):
         path.write_bytes(_mutate(rng, blob))

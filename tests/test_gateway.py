@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ragsel
@@ -285,7 +286,7 @@ class SlowLive:
 
     def embed(self, texts):
         self._call(texts)
-        return [[float(len(t)), 1.0] for t in texts]
+        return np.array([[float(len(t)), 1.0] for t in texts])
 
 
 def _in_threads(n, work):
@@ -318,7 +319,7 @@ def test_record_mode_fetches_each_embed_text_once(tmp_path):
     live = SlowLive()
     backend = TranscriptEmbedBackend(path, model="emb", record_from=live)
     results = _in_threads(4, lambda i: backend.embed(["shared", f"own {i}", "shared"]))
-    assert results == [[[6.0, 1.0], [5.0, 1.0], [6.0, 1.0]]] * 4
+    assert [[v.tolist() for v in vectors] for vectors in results] == [[[6.0, 1.0], [5.0, 1.0], [6.0, 1.0]]] * 4
     assert sorted(live.texts) == ["own 0", "own 1", "own 2", "own 3", "shared"]
     assert len(path.read_text(encoding="utf-8").splitlines()) == 5
 
@@ -552,7 +553,7 @@ def test_http_embed_success_and_uniform_dims(scripted_server):
     with scripted_server(script) as (endpoint, log):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
         vectors = backend.embed(["a", "b"])
-    assert vectors == [[1.0, 0.0], [0.0, 1.0]]
+    assert vectors.dtype == np.float64 and vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert log[0]["path"] == "/embeddings"
     assert log[0]["payload"] == {"model": "emb", "input": ["a", "b"]}
 
@@ -561,7 +562,7 @@ def test_http_embed_places_rows_by_their_index(scripted_server):
     rows = [{"index": 2, "embedding": [2.0]}, {"index": 1, "embedding": [1.0]}, {"index": 0, "embedding": [0.0]}]
     with scripted_server([(200, {"data": rows})]) as (endpoint, _):
         backend = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
-        assert backend.embed(["a", "b", "c"]) == [[0.0], [1.0], [2.0]]
+        assert backend.embed(["a", "b", "c"]).tolist() == [[0.0], [1.0], [2.0]]
 
 
 @pytest.mark.parametrize(
@@ -628,14 +629,14 @@ class StubLiveEmbed:
 
     def embed(self, texts):
         self.calls += 1
-        return [[float(len(t)), 1.0] for t in texts]
+        return np.array([[float(len(t)), 1.0] for t in texts])
 
 
 def test_transcript_embed_record_and_replay(tmp_path):
     path = tmp_path / "emb.jsonl"
     live = StubLiveEmbed()
     backend = TranscriptEmbedBackend(path, model="emb", record_from=live)
-    assert backend.embed(["abc", "de"]) == [[3.0, 1.0], [2.0, 1.0]]
+    assert [v.tolist() for v in backend.embed(["abc", "de"])] == [[3.0, 1.0], [2.0, 1.0]]
     assert live.calls == 1
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert lines == [
@@ -643,10 +644,29 @@ def test_transcript_embed_record_and_replay(tmp_path):
         {"fingerprint": text_fingerprint("emb", "de"), "vector": [2.0, 1.0]},
     ]
     replay = TranscriptEmbedBackend(path, model="emb")
-    assert replay.embed(["abc"]) == [[3.0, 1.0]]
+    assert [v.tolist() for v in replay.embed(["abc"])] == [[3.0, 1.0]]
     with pytest.raises(TranscriptMissError):
         replay.embed(["unseen text"])
     assert text_fingerprint("emb", "abc") != text_fingerprint("emb", "de")
+
+
+def test_a_replayed_vector_is_read_only_and_later_replays_keep_the_recording(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    write_jsonl(path, [{"fingerprint": text_fingerprint("emb", "a"), "vector": [1, 2.0]}])
+    backend = TranscriptEmbedBackend(path, model="emb")
+    (vector,) = backend.embed(["a"])
+    with pytest.raises(ValueError, match="read-only"):
+        vector[0] = 99.0
+    (again,) = backend.embed(["a"])
+    assert again.dtype == np.float64 and again.tolist() == [1.0, 2.0]
+
+
+def test_record_mode_writes_embedding_components_as_floats(tmp_path, scripted_server):
+    path = tmp_path / "emb.jsonl"
+    with scripted_server([(200, {"data": [{"embedding": [3, 1]}]})]) as (endpoint, _):
+        live = HttpEmbedBackend(endpoint, model="emb", backoff_base=0.001)
+        assert [v.tolist() for v in TranscriptEmbedBackend(path, "emb", record_from=live).embed(["abc"])] == [[3.0, 1.0]]
+    assert path.read_text(encoding="utf-8") == f'{{"fingerprint": "{text_fingerprint("emb", "abc")}", "vector": [3.0, 1.0]}}\n'
 
 
 def test_concurrent_transcript_replay_is_safe(tmp_path):
