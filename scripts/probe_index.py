@@ -10,7 +10,8 @@ sha256 (read in 1 MiB blocks), JSON parsing alone (``files.iter_jsonl``),
 ``load_index``, and BM25 ``search`` at k = 20 over the generated questions.
 One JSON object per size goes to stdout, with the index file's bytes and
 the peak RSS of the measuring process up to here, which does not include
-the generator's.
+the generator's. ``index_held_mib`` is what a second, separate ``load_index``
+holds (``tracemalloc``'s current size once it returns).
 Then ``load_corpus_dirty_s`` times ``load_corpus`` over a copy of the corpus
 in which each text starts with a tab and holds a doubled space, so every
 text takes the cleaning path that splits and joins it again.
@@ -84,6 +85,14 @@ def measure(inputs: Path) -> dict:
         record[name] = round(time.perf_counter() - start, 4)
         return value
 
+    def held_mib(load):
+        """What ``load()``'s value holds once it returns: tracemalloc's current size, in MiB."""
+        tracemalloc.start()
+        value = load()  # kept alive until its size is read
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        return round(size / 2**20, 1)
+
     timed("sha256_s", lambda: sha256_file(corpus))
     timed("iter_jsonl_s", lambda: sum(1 for _ in iter_jsonl(corpus, CorpusError)))
     store = timed("load_corpus_s", lambda: load_corpus(corpus))
@@ -106,6 +115,7 @@ def measure(inputs: Path) -> dict:
     record["index_bytes"] = index_path.stat().st_size
     record["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     del index
+    record["index_held_mib"] = held_mib(lambda: load_index(index_path))
     timed("load_corpus_dirty_s", lambda: load_corpus(inputs / "corpus_dirty.jsonl"))
     backend = SimpleNamespace(model="embed", embed=lambda texts: [embed_text(t) for t in texts])
     dense = DenseRetriever(backend, store, cache_path)
@@ -129,11 +139,7 @@ def measure(inputs: Path) -> dict:
     write_jsonl(transcript, ({"fingerprint": fp, "vector": v.tolist()} for fp, v in rows))
     del cache
     timed("embed_transcript_load_s", lambda: TranscriptEmbedBackend(transcript, "embed"))
-    tracemalloc.start()
-    replay = TranscriptEmbedBackend(transcript, "embed")
-    record["embed_transcript_held_mib"] = round(tracemalloc.get_traced_memory()[0] / 2**20, 1)
-    tracemalloc.stop()
-    del replay
+    record["embed_transcript_held_mib"] = held_mib(lambda: TranscriptEmbedBackend(transcript, "embed"))
     record["embed_transcript_bytes"] = transcript.stat().st_size
     return record
 

@@ -65,7 +65,7 @@ class AnalyzerConfig:
 
     @classmethod
     def from_dict(cls, record: dict) -> "AnalyzerConfig":
-        return cls(lowercase=record["lowercase"], stopwords=frozenset(record["stopwords"]))
+        return cls(typed(record, "lowercase", bool), frozenset(typed(record, "stopwords", list)))
 
 
 def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:
@@ -116,15 +116,16 @@ class CandidateList:
 
 @dataclass(eq=False)
 class Bm25Index:
-    """BM25 postings in CSR layout with every term weight precomputed.
+    """BM25 postings in CSR layout with every term weight precomputed, held as ``save_index`` writes them.
 
-    Row r is passage ``ids[r]``; a term's postings are the ascending rows
-    ``rows[terms[term]]``, and it adds ``impacts[terms[term]]`` to their scores.
-    ``digest`` is the indexed store's ``PassageStore.digest()``.
+    Row r is passage ``ids[r]``; ``terms`` maps each term to its id t, in first-seen order, and
+    t's postings are the ascending rows ``rows[offsets[t] : offsets[t + 1]]``, to whose scores it
+    adds the same span of ``impacts``. ``digest`` is the indexed store's ``PassageStore.digest()``.
     """
 
     ids: list[str]
-    terms: dict[str, slice]
+    terms: dict[str, int]
+    offsets: np.ndarray
     rows: np.ndarray
     impacts: np.ndarray
     k1: float
@@ -149,10 +150,6 @@ def _top_k(
         rows = rows[scores[rows] >= np.partition(scores[rows], -k)[-k]]
     order = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]]
     return [ids[row] for row in order.tolist()], scores[order].tolist()
-
-
-def _csr_slices(terms: Sequence[str], offsets: np.ndarray) -> dict[str, slice]:
-    return dict(zip(terms, map(slice, offsets[:-1].tolist(), offsets[1:].tolist())))
 
 
 def _postings(
@@ -237,7 +234,7 @@ def build_index(
     impacts /= norm
     del norm, tf
     offsets = np.concatenate(([0], np.cumsum(df)))
-    return Bm25Index(store.ids, _csr_slices(list(vocab), offsets), rows, impacts, k1, b, analyzer, store.digest())
+    return Bm25Index(store.ids, dict(vocab), offsets, rows, impacts, k1, b, analyzer, store.digest())
 
 
 def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> CandidateList:
@@ -251,10 +248,11 @@ def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> Candidat
     touched = np.zeros(len(index.ids), dtype=bool)
     # a term lists each row once, so each sum adds its impacts in query-term order
     for term in dict.fromkeys(analyze(query, index.analyzer)):
-        span = index.terms.get(term)
-        if span is not None:
-            rows = index.rows[span]
-            scores[rows] += index.impacts[span]
+        t = index.terms.get(term)
+        if t is not None:
+            start, stop = index.offsets[t : t + 2].tolist()
+            rows = index.rows[start:stop]
+            scores[rows] += index.impacts[start:stop]
             touched[rows] = True
     return CandidateList(query_id, "bm25", *_top_k(index.ids, index.id_rank, scores, np.flatnonzero(touched), k))
 
@@ -275,10 +273,9 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     """Write one uncompressed .npz: the CSR arrays plus a JSON header."""
     header = dict(format="ragsel-bm25-index", version=3, k1=index.k1, b=index.b, analyzer=index.analyzer.to_dict(),
                   digest=index.digest, ids=index.ids, terms=list(index.terms))
-    offsets = np.array([0] + [span.stop for span in index.terms.values()])
     # np.savez appends ".npz" to a path name; a file handle keeps the path as given
     with replace_atomically(path, "wb") as fh:
-        np.savez(fh, header=_header_bytes(header), rows=index.rows, impacts=index.impacts, offsets=offsets)
+        np.savez(fh, header=_header_bytes(header), rows=index.rows, impacts=index.impacts, offsets=index.offsets)
 
 
 def load_index(path: str | Path) -> Bm25Index:
@@ -292,15 +289,18 @@ def load_index(path: str | Path) -> Bm25Index:
         if not (
             (header["format"], header["version"]) == ("ragsel-bm25-index", 3)
             and isinstance(header["digest"], str)
-            and rows.dtype.kind == "i" and impacts.dtype == np.float64
+            and type(ids) is type(terms) is list and set(map(type, ids)) <= {str} and set(map(type, terms)) <= {str}
+            and len(lookup := dict(zip(terms, range(len(terms))))) == len(terms)
+            and rows.dtype.kind == offsets.dtype.kind == "i" and impacts.dtype == np.float64
             and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
             and (np.diff(offsets) >= 0).all()
             and rows.shape == impacts.shape == (offsets[-1],)
             and (len(rows) == 0 or 0 <= rows.min() <= rows.max() < len(ids))
+            and (impacts > 0).all()  # NaN too: every indexed term's idf is positive
         ):
             raise ValueError("inconsistent index arrays")
         params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
-        return Bm25Index(ids, _csr_slices(terms, offsets), rows, impacts, *params, header["digest"])
+        return Bm25Index(ids, lookup, offsets, rows, impacts, *params, header["digest"])
     except _NPZ_ERRORS as exc:
         raise RetrievalError(f"{path}: not a BM25 index file") from exc
 

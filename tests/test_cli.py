@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ragsel.cli import (
@@ -643,6 +646,22 @@ def test_cli_damaged_zip_directory_is_an_input_error(tmp_path, capsys, where, va
     assert capsys.readouterr().err == f"error: {path}: not a BM25 index file\n"
 
 
+def test_cli_run_over_an_index_with_float_offsets_is_an_input_error(tmp_path, capsys):
+    # zip's CRCs and the true digest stay valid: such a file once loaded, every search raised
+    # TypeError, and run recorded each query as failed and exited 1
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    config = ["--config", str(tmp_path / "fixtures" / "config.json")]
+    assert main(["index", *config]) == 0
+    path = tmp_path / "fixtures" / ".." / "out" / "index.npz"  # as the config names it
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**arrays, "offsets": arrays["offsets"].astype(np.float64)})
+    capsys.readouterr()
+    assert main(["run", *config]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not a BM25 index file\n"
+
+
 def test_cli_select_single_question(tmp_path, capsys):
     config_path = build_workspace(tmp_path)
     assert main(["select", "--config", str(config_path), "--question-id", "q1"]) == 0
@@ -976,6 +995,31 @@ def test_cli_config_that_files_decode_refuses_is_a_config_error(tmp_path, capsys
     assert capsys.readouterr().err == f"config error: --config: invalid JSON in {config_path}: {reason}\n"
 
 
+def test_mutated_configs_load_or_are_a_config_error(tmp_path, capsys):
+    """Seeded damage to the fixture config: a truncation one trial in three, else 1-4 flipped bytes,
+    each flip within 7 bits on every other trial so that the text stays ASCII. Each load returns a
+    config or raises ConfigError, and `ragsel config` exits 0, or 2 with a config error."""
+    rng = random.Random(29)
+    blob = (FIXTURES / "config.json").read_bytes()
+    path = tmp_path / "config.json"
+    codes = Counter()
+    for trial in range(300):
+        damaged = bytearray(blob[: rng.randrange(len(blob))] if trial % 3 == 0 else blob)
+        for _ in range(0 if trial % 3 == 0 else rng.randint(1, 4)):
+            damaged[rng.randrange(len(damaged))] ^= rng.randrange(1, 128 if trial % 2 else 256)
+        path.write_bytes(damaged)
+        try:
+            assert isinstance(load_config(str(path), [], {}), dict)
+        except ConfigError:
+            pass
+        code = main(["config", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 2 and err.startswith("config error: ")), (trial, code, err)
+        assert "Traceback" not in err, trial
+        codes[code] += 1
+    assert codes[0] and codes[2], codes  # both outcomes are seen
+
+
 # --- distill command ---------------------------------------------------------------
 
 
@@ -1117,6 +1161,17 @@ def test_fixture_outputs_are_pinned(tmp_path):
     assert digest("variants", "distill.jsonl") == "d48d6ac35c7ee6316351a108cd92d2a2be207c2e1592ae29e1c62f6b4d9c7a06"
     for name in ("plain", "variants"):
         assert (tmp_path / name / "distill.jsonl.rejects.jsonl").read_bytes() == b""
+    # the index by its content, not its zip bytes, which depend on the numpy version
+    assert main(["index", *config, "--output-dir", str(tmp_path / "index")]) == 0
+    with np.load(tmp_path / "index" / "index.npz") as npz:
+        members = {name: hashlib.sha256(npz[name].dtype.str.encode() + npz[name].tobytes()).hexdigest()
+                   for name in npz.files}
+    assert members == {
+        "header": "af8a1c863c5d292e30724adc417262ea601f6661d4268e80c64b45449078ab74",
+        "rows": "9ee3817638ecd66ed146e7e62dd80189935e75df0d6496f970034f68742faa31",
+        "impacts": "630adcc66d0d03c65541bb92808a8bf8c9a5e10c87396bd5620705d40c65e68e",
+        "offsets": "2cef8afda3b5b480f2627bda3521f65c1f2f389d9e6348fd7e5999b2aa148f21",
+    }
 
 
 # --- packaging ---------------------------------------------------------------------

@@ -153,6 +153,33 @@ def test_appending_mends_a_50mb_log_reading_only_its_end(tmp_path, last, kept):
         assert fh.read() == chunk + kept + b'{"n": 1}\n'
 
 
+def test_appending_mends_every_cut_of_a_transcript(tmp_path):
+    """Seeded cuts of the fixture chat transcript, one in three at a line's end, with a byte of the
+    torn tail flipped every other trial (never to a newline). The log becomes its whole lines, then
+    the tail and a newline if the tail decodes to an object, then the appended line."""
+    rng = random.Random(29)
+    blob = (FIXTURES / "chat_transcript.jsonl").read_bytes()
+    line_ends = [m.start() for m in re.finditer(b"\n", blob)]
+    path = tmp_path / "log.jsonl"
+    for trial in range(300):
+        cut = rng.choice(line_ends) if trial % 3 == 0 else rng.randrange(len(blob) + 1)
+        data, start = bytearray(blob[:cut]), blob.rfind(b"\n", 0, cut) + 1
+        if trial % 2 and start < cut:
+            at = rng.randrange(start, cut)
+            data[at] = rng.choice([byte for byte in range(256) if byte not in (data[at], ord("\n"))])
+        path.write_bytes(data)
+        tail = bytes(data[start:])
+        try:
+            whole = isinstance(decode(tail.decode("utf-8")), dict)
+        except ValueError:
+            whole = False
+        with appending(path) as append:
+            append({"trial": trial})
+        kept = blob[:start] + (tail + b"\n" if whole else b"")
+        assert path.read_bytes() == kept + b'{"trial": %d}\n' % trial, trial
+        assert [n for n, _ in iter_jsonl(path, ValueError)] == list(range(1, kept.count(b"\n") + 2)), trial
+
+
 def test_iter_jsonl_reads_crlf_line_ends(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_bytes(b'{"n": 1}\r\n\r\n{"t": "\xc3\xa9"}\r\n')

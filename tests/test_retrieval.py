@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import zipfile
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -79,9 +80,11 @@ def test_build_index_counts():
     )
     index = build_index(store)
     assert index.ids == ["p1", "p2", "p3"]
-    assert len(index.terms) == 5
-    assert index.rows[index.terms["apple"]].tolist() == [0, 1]
-    assert index.rows[index.terms["cake"]].tolist() == [2]
+    assert index.terms == {"apple": 0, "pie": 1, "tart": 2, "plum": 3, "cake": 4}
+    assert index.offsets.tolist() == [0, 2, 3, 4, 5, 6]
+    apple, cake = index.terms["apple"], index.terms["cake"]
+    assert index.rows[index.offsets[apple] : index.offsets[apple + 1]].tolist() == [0, 1]
+    assert index.rows[index.offsets[cake] : index.offsets[cake + 1]].tolist() == [2]
     assert len(index.rows) == len(index.impacts) == 6
 
 
@@ -135,8 +138,8 @@ def counter_build(store, analyzer=AnalyzerConfig(), k1=1.2, b=0.75):
 def assert_builds_alike(store, analyzer, k1=1.2, b=0.75):
     index = build_index(store, analyzer, k1, b)
     terms, ends, rows, impacts = counter_build(store, analyzer, k1, b)
-    assert list(index.terms) == terms
-    assert [span.stop for span in index.terms.values()] == ends
+    assert index.terms == dict(zip(terms, range(len(terms))))
+    assert index.offsets.tolist() == [0, *ends]
     assert index.rows.dtype == rows.dtype and index.rows.tobytes() == rows.tobytes()
     assert index.impacts.dtype == np.float64 and index.impacts.tobytes() == impacts.tobytes()
 
@@ -308,7 +311,7 @@ def test_idf_positive_for_indexed_terms_random():
         store = _random_store(rng, rng.randrange(1, 10), vocab)
         index = build_index(store)
         # impacts are idf times a positive tf factor, so idf > 0 shows as impacts > 0
-        assert all(span.stop > span.start for span in index.terms.values())
+        assert (np.diff(index.offsets) > 0).all()
         assert (index.impacts > 0.0).all()
 
 
@@ -335,6 +338,7 @@ def test_index_save_load_roundtrip(tmp_path):
     again = load_index(path)
     assert again.ids == index.ids
     assert again.terms == index.terms
+    assert again.offsets.dtype == index.offsets.dtype and again.offsets.tolist() == index.offsets.tolist()
     assert (again.k1, again.b, again.analyzer) == (index.k1, index.b, index.analyzer)
     assert again.digest == index.digest == store.digest()
     assert again.rows.tolist() == index.rows.tolist()
@@ -391,12 +395,15 @@ def _header(**fields):
 
 
 def _saved_with(path, **fields):
-    """A save_index file whose header has ``fields`` written over it."""
+    """A save_index file with ``fields`` written over its header fields or its arrays; a callable
+    field is given the saved value. Zip's CRCs and the true digest stay valid."""
     save_index(build_index(three_doc_store()), path)
     with np.load(path) as npz:
         arrays = dict(npz)
-    header = json.loads(arrays["header"].tobytes())
-    _write_with(np.savez, path, **{**arrays, "header": _header(**{**header, **fields})})
+    saved = {**json.loads(arrays.pop("header").tobytes()), **arrays}
+    saved.update({name: edit(saved[name]) if callable(edit) else edit for name, edit in fields.items()})
+    header = {name: value for name, value in saved.items() if name not in arrays}
+    _write_with(np.savez, path, header=_header(**header), **{name: saved[name] for name in arrays})
 
 
 @pytest.mark.parametrize(
@@ -411,8 +418,21 @@ def _saved_with(path, **fields):
         lambda path: _write_with(np.savez, path, header=_header(format="ragsel-bm25-index", version=1)),
         lambda path: _write_with(np.savez, path, header=np.array([{"format": "x"}], dtype=object)),
         lambda path: _saved_with(path, k1=float("nan")),
+        # each of these loaded before its check: search then raised TypeError, returned other ids,
+        # returned nothing, dropped postings or returned zero scores, or the analyzer split a string
+        lambda path: _saved_with(path, offsets=lambda offsets: offsets.astype(np.float64)),
+        lambda path: _saved_with(path, ids=lambda ids: list(range(len(ids)))),
+        lambda path: _saved_with(path, ids=lambda ids: "".join(pid[-1] for pid in ids)),
+        lambda path: _saved_with(path, terms=lambda terms: list(range(len(terms)))),
+        lambda path: _saved_with(path, terms=lambda terms: terms[:1] + terms[:-1]),
+        lambda path: _saved_with(path, impacts=lambda impacts: np.full_like(impacts, np.nan)),
+        lambda path: _saved_with(path, impacts=np.zeros_like),
+        lambda path: _saved_with(path, analyzer={"lowercase": True, "stopwords": "kw"}),
+        lambda path: _saved_with(path, analyzer={"lowercase": 1, "stopwords": []}),
     ],
-    ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled", "nan-k1"],
+    ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled", "nan-k1",
+         "float-offsets", "int-ids", "string-ids", "int-terms", "duplicate-terms", "nan-impacts", "zero-impacts",
+         "string-stopwords", "int-lowercase"],
 )
 def test_index_load_rejects_foreign_files(tmp_path, write):
     path = tmp_path / "index.npz"
@@ -507,8 +527,24 @@ def test_index_load_rejects_a_damaged_member_header(tmp_path, member):
         load_index(path)
 
 
+def _read_recording_warnings(read, path):
+    """``read(path)``, or the RetrievalError it raised. numpy parses a damaged .npy header as a
+    Python literal, which can warn of an invalid escape; such a warning may come only with a
+    rejection, and any other warning fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(path)
+        except RetrievalError as exc:
+            result = exc
+    messages = [f"{w.category.__name__}: {w.message}" for w in caught]
+    assert all(issubclass(w.category, (DeprecationWarning, SyntaxWarning)) for w in caught), messages
+    assert not caught or isinstance(result, RetrievalError), messages
+    return result
+
+
 def _index_content(index):
-    arrays = index.rows.tolist(), index.impacts.tolist()
+    arrays = index.offsets.tolist(), index.rows.tolist(), index.impacts.tolist()
     return index.ids, index.terms, *arrays, index.k1, index.b, index.analyzer, index.digest
 
 
@@ -521,10 +557,9 @@ def test_damaged_index_files_are_rejected_or_load_whole(tmp_path):
     outcomes = Counter()
     for trial, at, damaged in _damaged_copies(blob, 2601, 800):
         path.write_bytes(damaged)
-        try:
-            loaded = load_index(path)
-        except RetrievalError as exc:
-            assert str(exc) == f"{path}: not a BM25 index file", (trial, at)
+        loaded = _read_recording_warnings(load_index, path)
+        if isinstance(loaded, RetrievalError):
+            assert str(loaded) == f"{path}: not a BM25 index file", (trial, at)
             outcomes["rejected"] += 1
         else:
             assert _index_content(loaded) == original, (trial, at)
@@ -1115,10 +1150,9 @@ def test_damaged_cache_files_are_rejected_or_load_whole(tmp_path, dense_input, t
     for trial, at, damaged in _damaged_copies(blob, 2501, trials):
         for read in (EmbeddingCache.load, lambda p: DenseRetriever(backend, store, p)):
             path.write_bytes(damaged)
-            try:
-                loaded = read(path)
-            except RetrievalError as exc:
-                assert str(exc) == f"{path}: {REBUILD}", (trial, at)
+            loaded = _read_recording_warnings(read, path)
+            if isinstance(loaded, RetrievalError):
+                assert str(loaded) == f"{path}: {REBUILD}", (trial, at)
                 outcomes["rejected"] += 1
             else:  # an EmbeddingCache or a DenseRetriever: each holds the matrix
                 assert loaded.matrix.tolist() == original.matrix.tolist(), (trial, at)
