@@ -8,6 +8,9 @@ directory, and a fresh interpreter times, in order: the corpus file's
 sha256 (read in 1 MiB blocks), JSON parsing alone (``files.iter_jsonl``),
 ``load_corpus``, ``PassageStore.digest``, ``build_index``, ``save_index``,
 ``load_index``, and BM25 ``search`` at k = 20 over the generated questions.
+Beside ``search_ms_per_query`` stands ``search_postings_per_query``: the mean
+number of postings a search sums, from ``index.offsets`` over each question's
+distinct known terms, so the time can be read per posting.
 One JSON object per size goes to stdout, with the index file's bytes and
 the peak RSS of the measuring process up to here, which does not include
 the generator's. ``index_held_mib`` is what a second, separate ``load_index``
@@ -72,7 +75,7 @@ def measure(inputs: Path) -> dict:
     from ragsel.corpus import CorpusError, load_corpus, load_questions
     from ragsel.files import iter_jsonl, write_jsonl
     from ragsel.gateway import TranscriptEmbedBackend, estimate_tokens
-    from ragsel.retrieval import DenseRetriever, EmbeddingCache, build_index, load_index, save_index, search
+    from ragsel.retrieval import DenseRetriever, EmbeddingCache, analyze, build_index, load_index, save_index, search
     from ragsel.selection import Strategy, render_prompt
     from scripted import embed_text
 
@@ -106,6 +109,9 @@ def measure(inputs: Path) -> dict:
     for question in questions:
         search(index, question, K)
     record["search_ms_per_query"] = round(1000 * (time.perf_counter() - start) / len(questions), 4)
+    terms = [{index.terms.get(term) for term in analyze(question, index.analyzer)} - {None} for question in questions]
+    postings = sum(int(index.offsets[t + 1] - index.offsets[t]) for known in terms for t in known)
+    record["search_postings_per_query"] = round(postings / len(questions), 1)
     record["queries"] = len(questions)
     texts = [store.get(pid).text for pid in search(index, questions[0], K).ids]
     prompt = render_prompt(Strategy.REQUIREMENT_COT, questions[0], texts)

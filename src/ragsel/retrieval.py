@@ -8,7 +8,8 @@ The BM25 variant is pinned:
 
 with k1=1.2, b=0.75 by default. idf is strictly positive for every indexed
 term, so zero-score passages are exactly those sharing no term with the
-query.
+query. ``search`` sums a query's postings, concatenated in query-term
+order, with one ``np.bincount``, so each score adds up as the scalar sum does.
 
 How ``build_index`` counts: each passage is split once on whitespace, and
 each distinct piece is analyzed once, when first seen, so term ids follow
@@ -142,12 +143,11 @@ def _id_ranks(ids: Sequence[str]) -> np.ndarray:
     return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
-def _top_k(
-    ids: Sequence[str], id_rank: np.ndarray, scores: np.ndarray, rows: np.ndarray, k: int
-) -> tuple[list[str], list[float]]:
-    """The ids and scores of the k best ``rows`` by descending score, ties by ascending id."""
-    if len(rows) > k:  # keep every row tied at the k-th score
-        rows = rows[scores[rows] >= np.partition(scores[rows], -k)[-k]]
+def _top_k(ids: Sequence[str], id_rank: np.ndarray, scores: np.ndarray, floor: float, k: int) -> tuple[list, list]:
+    """The ids and scores of the k best rows scoring at least ``floor``, by descending score, ties by ascending id."""
+    if len(scores) > k:  # keep every row tied at the k-th score
+        floor = max(floor, np.partition(scores, -k)[-k])
+    rows = np.flatnonzero(scores >= floor)
     order = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]]
     return [ids[row] for row in order.tolist()], scores[order].tolist()
 
@@ -196,6 +196,13 @@ def _postings(
     return terms, rows, tf, lengths
 
 
+def _parameters(k1, b) -> tuple[float, float]:
+    """k1 and b as floats; RetrievalError unless each is an int or float, not a bool, 0 < k1 < inf and 0 <= b <= 1."""
+    if not (type(k1) in (int, float) and 0 < k1 < math.inf and type(b) in (int, float) and 0 <= b <= 1):
+        raise RetrievalError(f"k1 must be finite and > 0 and b must be in [0, 1], got k1={k1!r}, b={b!r}")
+    return float(k1), float(b)
+
+
 def build_index(
     store: PassageStore,
     analyzer: AnalyzerConfig = AnalyzerConfig(),
@@ -204,10 +211,7 @@ def build_index(
 ) -> Bm25Index:
     if len(store) == 0:
         raise RetrievalError("cannot build an index over an empty corpus")
-    if not 0 < k1 < math.inf:
-        raise RetrievalError(f"k1 must be finite and > 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise RetrievalError(f"b must be in [0, 1], got {b}")
+    _parameters(k1, b)  # k1 and b are kept as given, so a saved header holds a config's 2 as 2
     vocab: dict[str, int] = defaultdict(itertools.count().__next__)  # term -> id, first seen first
     # the piece memo is gone once _postings returns; each array below is freed when done with
     terms, rows, tf, lengths = _postings(store, analyzer, vocab)
@@ -238,23 +242,19 @@ def build_index(
 
 
 def search(index: Bm25Index, query: str, k: int, query_id: str = "") -> CandidateList:
-    """Top-k candidates sorted by descending score, ties by ascending id.
+    """Top-k candidates sorted by descending score, ties by ascending id; zero-score passages are left out.
 
-    Zero-score passages are excluded, so fewer than k items may come back.
+    One ``np.bincount`` adds the impacts of the query's distinct known terms in query-term order, from 0.0,
+    and a term lists each row once, so every score is the scalar formula's sum, bit for bit.
     """
     if k <= 0:
         raise RetrievalError(f"k must be positive, got {k}")
-    scores = np.zeros(len(index.ids))
-    touched = np.zeros(len(index.ids), dtype=bool)
-    # a term lists each row once, so each sum adds its impacts in query-term order
-    for term in dict.fromkeys(analyze(query, index.analyzer)):
-        t = index.terms.get(term)
-        if t is not None:
-            start, stop = index.offsets[t : t + 2].tolist()
-            rows = index.rows[start:stop]
-            scores[rows] += index.impacts[start:stop]
-            touched[rows] = True
-    return CandidateList(query_id, "bm25", *_top_k(index.ids, index.id_rank, scores, np.flatnonzero(touched), k))
+    terms = map(index.terms.get, dict.fromkeys(analyze(query, index.analyzer)))
+    # the empty span in front gives a query with no known term its dtypes
+    spans = [slice(0)] + [slice(*index.offsets[t : t + 2].tolist()) for t in terms if t is not None]
+    rows, impacts = (np.concatenate([column[span] for span in spans]) for column in (index.rows, index.impacts))
+    scores = np.bincount(rows, impacts, minlength=len(index.ids))
+    return CandidateList(query_id, "bm25", *_top_k(index.ids, index.id_rank, scores, math.ulp(0.0), k))  # score > 0
 
 
 # what np.load and the checks after it raise for a damaged or foreign .npz: a damaged zip directory also
@@ -299,7 +299,7 @@ def load_index(path: str | Path) -> Bm25Index:
             and (impacts > 0).all()  # NaN too: every indexed term's idf is positive
         ):
             raise ValueError("inconsistent index arrays")
-        params = float(header["k1"]), float(header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
+        params = *_parameters(header["k1"], header["b"]), AnalyzerConfig.from_dict(header["analyzer"])
         return Bm25Index(ids, lookup, offsets, rows, impacts, *params, header["digest"])
     except _NPZ_ERRORS as exc:
         raise RetrievalError(f"{path}: not a BM25 index file") from exc
@@ -427,4 +427,4 @@ class DenseRetriever:
         sims = np.zeros(len(self.ids))
         if qnorm != 0.0:  # einsum sums on this thread; BLAS's threaded gemv leaves a worker spinning a CPU
             np.divide(np.einsum("ij,j", self.matrix, query_vec), self.norms * qnorm, out=sims, where=self.norms > 0.0)
-        return CandidateList(query_id, "dense", *_top_k(self.ids, self.id_rank, sims, np.arange(len(self.ids)), k))
+        return CandidateList(query_id, "dense", *_top_k(self.ids, self.id_rank, sims, -math.inf, k))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -391,7 +392,8 @@ def _write_with(save, path, *args, **kwargs):
 
 
 def _header(**fields):
-    return np.frombuffer(json.dumps(fields).encode("utf-8"), dtype=np.uint8)
+    """``fields`` as a header; an infinite float is written as 1e999, which files.decode reads as inf."""
+    return np.frombuffer(json.dumps(fields).replace("Infinity", "1e999").encode("utf-8"), dtype=np.uint8)
 
 
 def _saved_with(path, **fields):
@@ -429,16 +431,39 @@ def _saved_with(path, **fields):
         lambda path: _saved_with(path, impacts=np.zeros_like),
         lambda path: _saved_with(path, analyzer={"lowercase": True, "stopwords": "kw"}),
         lambda path: _saved_with(path, analyzer={"lowercase": 1, "stopwords": []}),
+        # each of these loaded as float(k1) and float(b): 1.5, 1.0, inf, 0.0, -1.0, 1.5, -0.1 and 0.75
+        lambda path: _saved_with(path, k1="1.5"),
+        lambda path: _saved_with(path, k1=True),
+        lambda path: _saved_with(path, k1=1e999),
+        lambda path: _saved_with(path, k1=0),
+        lambda path: _saved_with(path, k1=-1),
+        lambda path: _saved_with(path, b=1.5),
+        lambda path: _saved_with(path, b=-0.1),
+        lambda path: _saved_with(path, b="0.75"),
     ],
     ids=["v1-json", "empty", "zip-magic", "npy", "no-header", "bad-header", "v1-header", "pickled", "nan-k1",
          "float-offsets", "int-ids", "string-ids", "int-terms", "duplicate-terms", "nan-impacts", "zero-impacts",
-         "string-stopwords", "int-lowercase"],
+         "string-stopwords", "int-lowercase", "string-k1", "bool-k1", "1e999-k1", "zero-k1", "negative-k1",
+         "b-above-1", "negative-b", "string-b"],
 )
 def test_index_load_rejects_foreign_files(tmp_path, write):
     path = tmp_path / "index.npz"
     write(path)
     with pytest.raises(RetrievalError, match="not a BM25 index"):
         load_index(path)
+
+
+def test_index_load_reads_an_integer_k1_as_a_float(tmp_path):
+    # a config may set retriever.k1: 2, and the saved header holds it as the JSON integer 2
+    path = tmp_path / "index.npz"
+    save_index(build_index(three_doc_store(), k1=2), path)
+    with np.load(path) as npz:
+        assert json.loads(npz["header"].tobytes())["k1"] == 2 and b'"k1": 2,' in npz["header"].tobytes()
+    loaded = load_index(path)
+    assert type(loaded.k1) is float and loaded.k1 == 2.0
+    built = build_index(three_doc_store(), k1=2.0)
+    for query in ("a", "b", "c", "a b c"):
+        assert search(loaded, query, k=3) == search(built, query, k=3)
 
 
 def test_index_load_rejects_a_version_2_file(tmp_path):
@@ -645,6 +670,66 @@ def test_search_equals_loop_reference_random(tmp_path):
     assert ties_at_k >= 20 and beyond_hits >= 20
 
 
+def scatter_search(index, query, k):
+    """The search that one bincount replaced: a scatter-add per query term in query-term order, a mask of
+    the rows it touched, and the top k of those rows. The reference for equal ids and equal float scores."""
+    scores = np.zeros(len(index.ids))
+    touched = np.zeros(len(index.ids), dtype=bool)
+    for term in dict.fromkeys(analyze(query, index.analyzer)):
+        t = index.terms.get(term)
+        if t is not None:
+            start, stop = index.offsets[t : t + 2].tolist()
+            rows = index.rows[start:stop]
+            scores[rows] += index.impacts[start:stop]
+            touched[rows] = True
+    rows = np.flatnonzero(touched)
+    if len(rows) > k:  # keep every row tied at the k-th score
+        rows = rows[scores[rows] >= np.partition(scores[rows], -k)[-k]]
+    order = rows[np.lexsort((index.id_rank[rows], -scores[rows]))[:k]]
+    return [index.ids[row] for row in order.tolist()], scores[order].tolist()
+
+
+def test_search_equals_the_scatter_reference_on_a_zipf_corpus(tmp_path):
+    rng = random.Random(31)
+    vocab = [f"w{i}" for i in range(1500)]
+    zipf = list(itertools.accumulate(1.0 / (r + 1) ** 1.1 for r in range(len(vocab))))
+    passages = []
+    for i, pid in enumerate(rng.sample(range(100_000), 3000)):  # store order unlike id order
+        if passages and rng.random() < 0.1:
+            text = rng.choice(passages).text  # duplicate text: tied scores
+        else:
+            text = " ".join(rng.choices(vocab, cum_weights=zipf, k=rng.randrange(3, 40)))
+        passages.append(Passage(id=f"p{pid}", doc_id=f"d{i}", text=text))
+    index = build_index(PassageStore(passages))
+    path, narrow = tmp_path / "index.npz", tmp_path / "index16.npz"
+    save_index(index, path)
+    save_index(dataclasses.replace(index, rows=index.rows.astype(np.int16)), narrow)
+    indexes = [index, load_index(path), load_index(narrow)]
+    assert [i.rows.dtype for i in indexes] == [np.int32, np.int32, np.int16]
+    seen = Counter()
+    for n in range(300):
+        kind = ("single", "repeated", "unknown", "mixed")[n % 4]
+        if kind == "single":
+            words = rng.choices(vocab, cum_weights=zipf, k=1)
+        elif kind == "repeated":
+            words = rng.choices(vocab, cum_weights=zipf, k=2) * 2
+        elif kind == "unknown":
+            words = ["unknown", "zzz"]
+        else:
+            words = rng.choices(vocab + ["unknown"], k=rng.randrange(2, 7))
+        query = " ".join(rng.sample(words, len(words)))
+        hits = scatter_search(index, query, len(passages))[1]
+        tied = [i for i in range(1, len(hits)) if hits[i - 1] == hits[i]]
+        k = rng.choice([1, 20, len(hits) + rng.randrange(1, 5), rng.choice(tied) if tied else 7])
+        tie_at_k = 0 < k < len(hits) and hits[k - 1] == hits[k]
+        seen.update({kind: 1, "k=1": k == 1, "beyond hits": k > len(hits), "tie at k": tie_at_k})
+        ids, scores = scatter_search(index, query, k)
+        for each in indexes:
+            got = search(each, query, k)
+            assert (got.ids, list(map(float.hex, got.scores))) == (ids, list(map(float.hex, scores))), (query, k)
+    assert min(seen.values()) >= 30, seen
+
+
 def test_candidate_list_roundtrip():
     clist = CandidateList("q1", "bm25", ["p1", "p2"], [1.5, 0.5])
     record = clist.to_dict()
@@ -732,6 +817,22 @@ def test_dense_zero_norm_vector_scores_zero(tmp_path):
     for query, ids, scores in [("query", ["p2", "p1"], [1.0, 0.0]), ("null", ["p1", "p2"], [0.0, 0.0])]:
         result = retriever.retrieve(query, k=2)
         assert (result.ids, result.scores) == (ids, scores)
+
+
+def test_dense_top_k_keeps_zero_and_negative_scores(tmp_path):
+    # cosines: p3 and the zero vector pz 0.0 (tied, so by id), pb -1/sqrt(2), pa -1.0
+    table = {"zero": [0.0, 0.0], "up": [0.0, 1.0], "back": [-1.0, 0.0], "down": [-1.0, -1.0], "query": [1.0, 0.0]}
+    store = PassageStore([
+        Passage(id="pz", doc_id="d", text="zero"),
+        Passage(id="pa", doc_id="d", text="back"),
+        Passage(id="p3", doc_id="d", text="up"),
+        Passage(id="pb", doc_id="d", text="down"),
+    ])
+    retriever = DenseRetriever(FakeEmbedBackend("emb-1", table, dim=2), store, tmp_path / "emb.npz")
+    every = (["p3", "pz", "pb", "pa"], [0.0, 0.0, -1.0 / math.sqrt(2.0), -1.0])
+    for k in (1, 2, 3, 4, 9):
+        result = retriever.retrieve("query", k=k)
+        assert (result.ids, result.scores) == (every[0][:k], pytest.approx(every[1][:k], abs=1e-12))
 
 
 def test_dense_empty_store_errors(tmp_path):
